@@ -488,36 +488,24 @@ def quadric_points_resolution(N):
         raise ParamError("need at least one point")
     i = math.isqrt(N - 1)
     h = N - i * i
-    hvec = [min(2 * k + 1, h if k == i else 2 * k + 1) for k in range(i)] + [h]
+    if i == 0:
+        # one point in the plane spanned by the quadric: codim 3 ideal
+        shape = ResolutionShape([FreeModule({0: 1}), FreeModule({1: 2, 2: 1}),
+                                 FreeModule({2: 1, 3: 2}), FreeModule({4: 1})])
+        return HilbertSeries([h]), shape
     hvec = [2 * k + 1 for k in range(i)] + [h]
-    # Hilbert function of the points, then fourth differences
-    hf = []
-    acc = 0
-    for v in hvec + [0, 0, 0, 0]:
-        acc += v
-        hf.append(acc)
 
     def delta(seq):
         return [seq[0]] + [seq[k] - seq[k - 1] for k in range(1, len(seq))]
 
-    d4 = delta(delta(delta(delta(hf))))
+    # fourth differences of the Hilbert function of the points, whose
+    # first differences are the h-vector
+    d4 = delta(delta(delta(hvec + [0, 0, 0, 0])))
     d4 += [0] * (i + 3 - len(d4))
     di1, di2 = d4[i + 1], d4[i + 2]
-    f1 = FreeModule()
-    if i >= 1:
-        f1.add(2)
-        f1.add(i, 2 * i + 1 - h)
-        f1.add(i + 1, max(0, -di1))
-    else:
-        f1.add(1, 2)  # a single point: two linear forms and a quadric drop out
-        f1.add(2, 0)
+    f1 = FreeModule({2: 1}).add(i, 2 * i + 1 - h).add(i + 1, max(0, -di1))
     f2 = FreeModule({i + 1: max(0, di1), i + 2: max(0, di2)})
     f3 = FreeModule({i + 2: max(0, -di2), i + 3: h})
-    if i == 0:
-        # one point in the plane spanned by the quadric: codim 3 ideal
-        f1 = FreeModule({1: 2, 2: 1})
-        f2 = FreeModule({2: 1, 3: 2})
-        f3 = FreeModule({4: 1})
     shape = ResolutionShape([FreeModule({0: 1}), f1, f2, f3])
     return HilbertSeries(hvec), shape
 

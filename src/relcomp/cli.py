@@ -451,10 +451,6 @@ def build_parser():
     p = sub.add_parser("resolve", help="run the engine on a recipe")
     common(p)
     p.add_argument("recipe")
-    p.add_argument("--split", choices=["none", "generator", "min-consistent"],
-                   default="min-consistent",
-                   help="mapping-cone cancellation policy (informational;"
-                        " the engine computes the minimal table directly)")
     p.add_argument("--witness", default=None,
                    help="write a replayable witness JSON here")
     p.set_defaults(func=cmd_resolve)

@@ -34,7 +34,7 @@ from .errors import (
     ParamError,
 )
 from .gfp import PrimeMatrix, kernel_basis, rank, rref, stack
-from .ring import HomogPoly, contraction_map
+from .ring import HomogPoly, contract_by_poly, contraction_map
 from .series import HilbertSeries, linkage_hf, rc_min_bound, rc_upper_bound_liaison
 
 __all__ = [
@@ -181,18 +181,14 @@ class QuotientBasis:
         # images of the new generators: g = sum_k x_k g_k with g_k read off
         # by stripping the first variable of each monomial
         prev_table = self._table[d - 1]
-        prev_index = ring.index(d - 1)
-        for g in gens_d:
-            row = np.zeros(vdim, dtype=np.int64)
-            for mono, c in g.terms():
-                k = next(i for i, e in enumerate(mono) if e)
-                nu = list(mono)
-                nu[k] -= 1
-                col = prev_index[tuple(nu)]
-                seg = row[k * a1:(k + 1) * a1]
-                seg += c * prev_table.a[:, col]
-                row[k * a1:(k + 1) * a1] = seg % p
-            rel_rows.append(row)
+        strips = ring.strip(d)
+        if gens_d:
+            coeffs = np.array([g.coeffs for g in gens_d])
+            rel_rows.extend(np.hstack([
+                PrimeMatrix(coeffs[:, cols], p).matmul(
+                    PrimeMatrix(prev_table.a[:, prev].T, p)).a
+                for cols, prev in strips
+            ]))
         if rel_rows:
             red, pivots = rref(PrimeMatrix(np.array(rel_rows), p))
         else:
@@ -214,19 +210,9 @@ class QuotientBasis:
         # monomial reduction table for degree d
         table = np.zeros((ad, ring.dim(d)), dtype=np.int64)
         if ad:
-            idx = ring.index(d - 1)
-            by_var = {}
-            for col, mono in enumerate(ring.basis(d)):
-                k = next(i for i, e in enumerate(mono) if e)
-                nu = list(mono)
-                nu[k] -= 1
-                by_var.setdefault(k, ([], []))
-                by_var[k][0].append(col)
-                by_var[k][1].append(idx[tuple(nu)])
-            for k, (cols, prev_cols) in by_var.items():
-                m = self._mult[(k, d - 1)]
-                sub = PrimeMatrix(prev_table.a[:, prev_cols], p)
-                table[:, cols] = m.matmul(sub).a
+            for k, (cols, prev) in enumerate(strips):
+                sub = PrimeMatrix(prev_table.a[:, prev], p)
+                table[:, cols] = self._mult[(k, d - 1)].matmul(sub).a
         self._table[d] = PrimeMatrix(table, p)
         self._top = d
 
@@ -264,8 +250,18 @@ def hilbert_function(ideal, cap=None):
 
 
 def _artinian_quotient(ideal, cap):
+    """Model and exact Hilbert function of an Artinian R/I.
+
+    A proper ideal with fewer than n generators has height < n (Krull).
+    Otherwise, with D the largest generator degree, n general elements of
+    I_D form a regular sequence over the algebraic closure, so an Artinian
+    R/I vanishes in degree n(D - 1) + 1; that is where the probe stops.
+    """
+    degrees, n = ideal.degrees(), ideal.ring.n
+    if len(degrees) < n and 0 not in degrees:
+        raise NotArtinianError("fewer than %d generators: R/I is not Artinian" % n)
+    limit = cap if cap is not None else n * (max(degrees) - 1) + 1
     qb = QuotientBasis(ideal.ring, ideal.gens)
-    limit = cap if cap is not None else 400
     coeffs = []
     d = 0
     while True:
@@ -532,40 +528,12 @@ def perp_basis(c, j):
     of degree <= j contracts F to zero.
     """
     ring = c.ring
-    blocks = []
-    for g in c.gens:
-        if g.degree <= j:
-            # fixed polynomial, varying dual form: same entries as the
-            # contraction of a monomial basis, assembled columnwise
-            m = _contract_by_poly(g, j)
-            blocks.append(m)
+    blocks = [contract_by_poly(g, j) for g in c.gens if g.degree <= j]
     if not blocks:
         ker = PrimeMatrix(np.eye(ring.dim(j), dtype=np.int64), ring.p)
     else:
         ker = kernel_basis(stack(blocks))
     return [HomogPoly(ring, j, row) for row in ker.a]
-
-
-def _contract_by_poly(g, j):
-    """Matrix of F -> g o F from dual degree j to dual degree j - deg g."""
-    ring = g.ring
-    e = g.degree
-    rows = ring.dim(j - e)
-    cols = ring.dim(j)
-    a = np.zeros((rows, cols), dtype=np.int64)
-    tgt = ring.index(j - e)
-    from .ring import _falling
-
-    for col, b in enumerate(ring.basis(j)):
-        for mono, cf in g.terms():
-            if all(bi >= ai for bi, ai in zip(b, mono)):
-                w = 1
-                for bi, ai in zip(b, mono):
-                    w = (w * _falling(bi, ai)) % ring.p
-                if w:
-                    rest = tuple(bi - ai for bi, ai in zip(b, mono))
-                    a[tgt[rest], col] = (a[tgt[rest], col] + cf * w) % ring.p
-    return PrimeMatrix(a, ring.p)
 
 
 MEETS_CONJECTURED_BOUND = "MEETS_CONJECTURED_BOUND"
@@ -753,7 +721,6 @@ def _stage_matrix(ring, target_degrees, columns, m):
 
 def _syzygy_stage(ring, target_degrees, columns, top):
     """Minimal generators of the kernel of one stage map."""
-    new_degrees = []
     new_columns = []
     found = {}
     degs = [d for d, _ in columns]
@@ -765,13 +732,11 @@ def _syzygy_stage(ring, target_degrees, columns, top):
         # span of shifts of previously found kernel generators
         old = _stage_matrix(ring, degs, new_columns, m) if new_columns else None
         if old is not None and old.cols:
-            stacked = stack([PrimeMatrix(old.a.T, ring.p), ker])
-            red, pivots = rref(stacked)
+            _, pivots = rref(stack([PrimeMatrix(old.a.T, ring.p), ker]))
             base = rank(PrimeMatrix(old.a.T, ring.p))
             fresh = len(pivots) - base
         else:
             fresh = ker.rows
-            stacked = None
         if fresh <= 0:
             continue
         # pick kernel rows independent from the old span
@@ -792,7 +757,6 @@ def _syzygy_stage(ring, target_degrees, columns, top):
             chosen = list(range(fresh))
         for r in chosen:
             comps = _split_components(ring, ker.a[r], degs, m)
-            new_degrees.append(m)
             new_columns.append((m, comps))
         found[m] = found.get(m, 0) + len(chosen)
     return degs, new_columns, found

@@ -7,6 +7,13 @@ descending lexicographic order of exponent vectors (x1-heavy first);
 combined with the grading this is the graded lex order.  Column order in
 every matrix produced here follows these bases, so it must never change.
 
+Every monomial map is read off two tables cached per pair of degrees
+(d, e): sum_index(d, e)[i, j], the position of basis(d)[i] + basis(e)[j]
+in basis(d + e), and weights(d, e)[r, a], the apolarity weight of
+x^a o y^(r + a) at y^r, exact mod p.  Their rows and columns follow the
+bases of degrees d and e, so every matrix built from them keeps the
+basis order.
+
 Homogeneous polynomials are coefficient vectors over the basis of their
 degree.  The same representation doubles as the dual space: a "dual" form
 of degree s is paired against operators through contraction, where a
@@ -26,6 +33,7 @@ __all__ = [
     "HomogPoly",
     "FormStream",
     "contraction_map",
+    "contract_by_poly",
     "pairing_weights",
 ]
 
@@ -42,17 +50,21 @@ def _monomials(n, d):
 
 
 class RingCtx:
-    """Polynomial ring k[x_1..x_n] over GF(p), with cached bases."""
+    """Polynomial ring k[x_1..x_n] over GF(p), with cached bases and
+    monomial pairing tables."""
 
     def __init__(self, n, p=32003):
         if n < 1:
             raise ParamError("need at least one variable")
-        if p < 2:
-            raise ParamError("modulus must be a prime >= 2")
+        if not (p < 2**31 and _is_prime(p)):
+            raise ParamError("modulus must be a prime below 2**31, got %d" % p)
         self.n = n
         self.p = p
         self._basis = {}
-        self._index = {}
+        self._expo = {}
+        self._sum_index = {}
+        self._weights = {}
+        self._strip = {}
 
     def dim(self, d):
         """dim of the degree d graded piece; 0 for negative d."""
@@ -62,22 +74,71 @@ class RingCtx:
 
     def basis(self, d):
         if d not in self._basis:
-            self._basis[d] = _monomials(self.n, d)
+            self._basis[d] = _monomials(self.n, d) if d >= 0 else []
         return self._basis[d]
 
-    def index(self, d):
-        if d not in self._index:
-            self._index[d] = {m: i for i, m in enumerate(self.basis(d))}
-        return self._index[d]
+    def exponents(self, d):
+        """basis(d) as a (dim d) x n integer array."""
+        if d not in self._expo:
+            self._expo[d] = np.array(self.basis(d), dtype=np.int64).reshape(-1, self.n)
+        return self._expo[d]
+
+    def rank(self, expo):
+        """Position of each exponent vector (last axis) in the basis of its
+        degree: with tail sums r_i = a_i + ... + a_n, the sum over i = 2..n
+        of C(r_i + n - i, n - i + 1) (combinatorial number system)."""
+        expo = np.asarray(expo, dtype=np.int64)
+        if expo.shape[-1] != self.n or (expo < 0).any():
+            raise ParamError("exponent vectors need %d entries >= 0" % self.n)
+        tails = np.cumsum(expo[..., ::-1], axis=-1)[..., ::-1]
+        out = np.zeros(expo.shape[:-1], dtype=np.int64)
+        top = int(tails.max(initial=0))
+        for m in range(self.n - 1, 0, -1):
+            binom = np.array([math.comb(r + m - 1, m) for r in range(top + 1)], dtype=np.int64)
+            out += binom[tails[..., self.n - m]]
+        return out
+
+    def sum_index(self, d, e):
+        """sum_index(d, e)[i, j] is the position of basis(d)[i] + basis(e)[j]
+        in basis(d + e)."""
+        if (d, e) not in self._sum_index:
+            self._sum_index[d, e] = self.rank(self.exponents(d)[:, None] + self.exponents(e))
+        return self._sum_index[d, e]
+
+    def weights(self, d, e):
+        """weights(d, e)[r, a] = prod_i (r_i + a_i)! / r_i! mod p over r in
+        basis(d), a in basis(e), so x^a o y^(r + a) = weights(d, e)[r, a] y^r.
+        Built factor by factor: it vanishes exactly where p divides a factor."""
+        if (d, e) not in self._weights:
+            # falling[x, y] = (x + y)! / x! mod p
+            falling = np.ones((d + 1, e + 1), dtype=np.int64)
+            for y in range(1, e + 1):
+                falling[:, y] = falling[:, y - 1] * (np.arange(d + 1) + y) % self.p
+            r, a = self.exponents(d), self.exponents(e)
+            w = np.ones((len(r), len(a)), dtype=np.int64)
+            for i in range(self.n):
+                w = w * falling[r[:, i, None], a[None, :, i]] % self.p
+            self._weights[d, e] = w
+        return self._weights[d, e]
+
+    def strip(self, d):
+        """For each variable x_{k+1} (d >= 1), (cols, prev): basis(d)[cols]
+        are the monomials whose first variable is x_{k+1}, and they are
+        x_{k+1} * basis(d - 1)[prev]."""
+        if d not in self._strip:
+            below, sums = self.dim(d - 1), self.sum_index(d - 1, 1)
+            # basis(1)[k] is x_{k+1}; basis(d - 1) ends with the
+            # comb(d + n - k - 2, n - k - 1) monomials free of x_1..x_k
+            prevs = [np.arange(below - math.comb(d + self.n - k - 2, self.n - k - 1), below)
+                     for k in range(self.n)]
+            self._strip[d] = [(sums[prev, k], prev) for k, prev in enumerate(prevs)]
+        return self._strip[d]
 
     def zero(self, d):
         return HomogPoly(self, d, np.zeros(self.dim(d), dtype=np.int64))
 
     def monomial(self, expo):
-        d = sum(expo)
-        v = np.zeros(self.dim(d), dtype=np.int64)
-        v[self.index(d)[tuple(expo)]] = 1
-        return HomogPoly(self, d, v)
+        return self.from_terms(sum(expo), {tuple(expo): 1})
 
     def variable(self, i):
         """The variable x_i, 1-based."""
@@ -90,30 +151,37 @@ class RingCtx:
     def from_terms(self, d, terms):
         """Build a polynomial from {exponent tuple: coefficient}."""
         v = np.zeros(self.dim(d), dtype=np.int64)
-        idx = self.index(d)
         for expo, c in terms.items():
             if sum(expo) != d:
                 raise DegreeError("term of degree %d in a degree %d form" % (sum(expo), d))
-            v[idx[tuple(expo)]] = (v[idx[tuple(expo)]] + c) % self.p
+            i = self.rank(expo)
+            v[i] = (v[i] + c) % self.p
         return HomogPoly(self, d, v)
 
     def mult_map(self, f, d):
         """Matrix of multiplication by f from degree d to degree d + deg f.
 
-        Columns follow the degree d basis, rows the degree d + deg f basis.
+        Columns follow the degree d basis, rows the degree d + deg f basis;
+        column j holds f in the rows sum_index(d, deg f)[j].
         """
-        e = f.degree
-        rows = self.dim(d + e)
-        cols = self.dim(d)
-        a = np.zeros((rows, cols), dtype=np.int64)
-        tgt = self.index(d + e)
-        fb = self.basis(e)
-        nz = np.nonzero(f.coeffs)[0]
-        for j, m in enumerate(self.basis(d)):
-            for k in nz:
-                prod = tuple(x + y for x, y in zip(m, fb[k]))
-                a[tgt[prod], j] = (a[tgt[prod], j] + f.coeffs[k]) % self.p
+        a = np.zeros((self.dim(d + f.degree), self.dim(d)), dtype=np.int64)
+        a[self.sum_index(d, f.degree), np.arange(self.dim(d))[:, None]] = f.coeffs
         return PrimeMatrix(a, self.p)
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin, exact below 2**64 with the prime bases up to 37."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % b == 0 for b in bases):
+        return p in bases
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    for b in bases:
+        x = pow(b, q, p)
+        if x != 1 and all(pow(x, 2**r, p) != p - 1 for r in range(s)):
+            return False
+    return True
 
 
 _TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*?\s*)?((?:x\d+(?:\^\d+)?(?:\s*\*\s*)?)*)\s*$")
@@ -221,16 +289,6 @@ class HomogPoly:
         return ring.from_terms(deg, terms)
 
 
-def _falling(b, a):
-    """b! / (b-a)! as an integer (0 if a > b)."""
-    if a > b:
-        return 0
-    out = 1
-    for t in range(b - a + 1, b + 1):
-        out *= t
-    return out
-
-
 def contraction_map(F, d):
     """Matrix of the contraction action of degree d operators on F.
 
@@ -239,37 +297,28 @@ def contraction_map(F, d):
     x^a sends y^b to (prod_i b_i!/(b_i-a_i)!) y^(b-a) when b >= a
     componentwise, else to zero.  Over small characteristic the falling
     factorials can vanish mod p, so the pairing may degenerate; callers
-    who care should check p > s.
+    who care should check p > s.  This is the catalecticant Cat_F(d, s - d).
     """
     ring = F.ring
     s = F.degree
     if d > s:
         raise DegreeError("cannot contract a degree %d form by degree %d" % (s, d))
-    rows = ring.dim(s - d)
-    cols = ring.dim(d)
-    a = np.zeros((rows, cols), dtype=np.int64)
-    tgt = ring.index(s - d)
-    for j, mono in enumerate(ring.basis(d)):
-        for b, c in F.terms():
-            if all(bi >= ai for bi, ai in zip(b, mono)):
-                w = 1
-                for bi, ai in zip(b, mono):
-                    w = (w * _falling(bi, ai)) % ring.p
-                if w:
-                    rest = tuple(bi - ai for bi, ai in zip(b, mono))
-                    a[tgt[rest], j] = (a[tgt[rest], j] + c * w) % ring.p
+    a = F.coeffs[ring.sum_index(s - d, d)] * ring.weights(s - d, d) % ring.p
+    return PrimeMatrix(a, ring.p)
+
+
+def contract_by_poly(g, j):
+    """Matrix of F -> g o F from dual degree j to dual degree j - deg g."""
+    ring, e = g.ring, g.degree
+    a = np.zeros((ring.dim(j - e), ring.dim(j)), dtype=np.int64)
+    rows = np.arange(ring.dim(j - e))[:, None]
+    a[rows, ring.sum_index(j - e, e)] = g.coeffs * ring.weights(j - e, e) % ring.p
     return PrimeMatrix(a, ring.p)
 
 
 def pairing_weights(ring, d):
     """Diagonal of the degree d apolarity pairing: prod_i a_i! mod p."""
-    out = np.empty(ring.dim(d), dtype=np.int64)
-    for j, mono in enumerate(ring.basis(d)):
-        w = 1
-        for e in mono:
-            w = (w * math.factorial(e)) % ring.p
-        out[j] = w
-    return out
+    return ring.weights(0, d)[0]
 
 
 class FormStream:

@@ -197,7 +197,7 @@ def rc_upper_bound_liaison(ci_degrees, socle_degrees, n, cap=None):
     )
 
 
-def rc_min_bound(ci_degrees, n, s, c, cap=None):
+def rc_min_bound(ci_degrees, n, s, c):
     """min { dim (R/ci)_t, c * dim (R/ci)_{s-t} } for 0 <= t <= s."""
     if s < 0:
         raise ParamError("negative socle degree")
@@ -210,9 +210,9 @@ def rc_min_bound(ci_degrees, n, s, c, cap=None):
     return HilbertSeries(coeffs, exact=True)
 
 
-def compressed_level_hf(n, s, c, cap=None):
+def compressed_level_hf(n, s, c):
     """Classical compressed bound min { dim R_t, c * dim R_{s-t} }."""
-    return rc_min_bound([], n, s, c, cap)
+    return rc_min_bound([], n, s, c)
 
 
 def linkage_hf(h_ci, h_i, e=None):

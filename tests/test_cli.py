@@ -93,6 +93,13 @@ def test_predict_quadric_points(capsys):
     assert "0 -> R(-8)^5 -> R(-6)^5 + R(-7)^6 -> R(-2) + R(-5)^6 -> R" in out
 
 
+def test_resolve_refuses_composite_modulus(capsys):
+    assert main(["resolve", "general-forms(2,2,2)", "-n", "3", "-p", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prime" in captured.err
+
+
 def test_predict_error_exit_code(capsys):
     assert main(["predict", "aci", "-n", "3", "-d", "2,2,3,3"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -73,6 +73,15 @@ def test_non_artinian_detected():
         socle(degenerate)
 
 
+def test_non_artinian_with_enough_generators_detected():
+    # (x1^2, x1 x2, x2^2) leaves x3 free; the probe stops at n(D - 1) + 1 = 4
+    ring = ring3()
+    ideal = GradedIdeal(ring, [HomogPoly.parse(ring, t)
+                               for t in ("x1^2", "x1*x2", "x2^2")])
+    with pytest.raises(NotArtinianError, match="degree 4"):
+        socle(ideal)
+
+
 def test_unit_ideal_quotient_is_zero():
     ring = ring3()
     ci = general_forms(ring, (2, 2, 2), FormStream(ring, 1))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from relcomp.errors import DegreeError, ParamError
 from relcomp.gfp import PrimeMatrix
@@ -9,6 +10,7 @@ from relcomp.ring import (
     FormStream,
     HomogPoly,
     RingCtx,
+    contract_by_poly,
     contraction_map,
     pairing_weights,
 )
@@ -123,3 +125,134 @@ def test_variable_bounds():
     ring = RingCtx(2, 7)
     with pytest.raises(ParamError):
         ring.variable(3)
+
+
+def test_modulus_must_be_a_prime_below_2_31():
+    # 2047, 1373653 and 25326001 are strong pseudoprimes to bases 2, 2-3 and 2-5
+    for bad in (0, 1, 4, 9, 561, 2047, 1373653, 25326001, 2**31, 2**61 - 1):
+        with pytest.raises(ParamError):
+            RingCtx(3, bad)
+    for good in (2, 3, 32003, 2**31 - 1):
+        assert RingCtx(3, good).p == good
+
+
+def test_primality_matches_trial_division():
+    def prime(q):
+        return q > 1 and all(q % t for t in range(2, int(q**0.5) + 1))
+
+    for q in range(2000):
+        try:
+            RingCtx(1, q)
+            accepted = True
+        except ParamError:
+            accepted = False
+        assert accepted == prime(q), q
+
+
+def test_rank_is_the_basis_position():
+    ring = RingCtx(4, 7)
+    for d in range(6):
+        assert list(ring.rank(ring.exponents(d))) == list(range(ring.dim(d)))
+    with pytest.raises(ParamError):
+        ring.monomial((2, -1, 0, 0))
+
+
+# --- loop oracles for the monomial pairing kernel --------------------------
+
+
+def _index(ring, d):
+    return {m: i for i, m in enumerate(ring.basis(d))}
+
+
+def _falling(b, a):
+    """b! / (b-a)! as an integer (0 if a > b)."""
+    out = 1
+    for t in range(b - a + 1, b + 1):
+        out *= t
+    return out if a <= b else 0
+
+
+def _loop_weight(b, mono, p):
+    w = 1
+    for bi, ai in zip(b, mono):
+        w = (w * _falling(bi, ai)) % p
+    return w
+
+
+def loop_mult_map(f, d):
+    ring = f.ring
+    e = f.degree
+    a = np.zeros((ring.dim(d + e), ring.dim(d)), dtype=np.int64)
+    tgt = _index(ring, d + e)
+    fb = ring.basis(e)
+    for j, m in enumerate(ring.basis(d)):
+        for k in np.nonzero(f.coeffs)[0]:
+            prod = tuple(x + y for x, y in zip(m, fb[k]))
+            a[tgt[prod], j] = (a[tgt[prod], j] + f.coeffs[k]) % ring.p
+    return PrimeMatrix(a, ring.p)
+
+
+def loop_contraction_map(F, d):
+    ring = F.ring
+    s = F.degree
+    a = np.zeros((ring.dim(s - d), ring.dim(d)), dtype=np.int64)
+    tgt = _index(ring, s - d)
+    for j, mono in enumerate(ring.basis(d)):
+        for b, c in F.terms():
+            if all(bi >= ai for bi, ai in zip(b, mono)):
+                w = _loop_weight(b, mono, ring.p)
+                rest = tuple(bi - ai for bi, ai in zip(b, mono))
+                a[tgt[rest], j] = (a[tgt[rest], j] + c * w) % ring.p
+    return PrimeMatrix(a, ring.p)
+
+
+def loop_contract_by_poly(g, j):
+    ring = g.ring
+    e = g.degree
+    a = np.zeros((ring.dim(j - e), ring.dim(j)), dtype=np.int64)
+    tgt = _index(ring, j - e)
+    for col, b in enumerate(ring.basis(j)):
+        for mono, cf in g.terms():
+            if all(bi >= ai for bi, ai in zip(b, mono)):
+                w = _loop_weight(b, mono, ring.p)
+                rest = tuple(bi - ai for bi, ai in zip(b, mono))
+                a[tgt[rest], col] = (a[tgt[rest], col] + cf * w) % ring.p
+    return PrimeMatrix(a, ring.p)
+
+
+def loop_strip(ring, d):
+    """Per variable x_{k+1}: the degree d monomials whose first variable is
+    x_{k+1}, and their positions in basis(d - 1) once it is stripped."""
+    idx = _index(ring, d - 1)
+    blocks = [([], []) for _ in range(ring.n)]
+    for col, mono in enumerate(ring.basis(d)):
+        k = next(i for i, e in enumerate(mono) if e)
+        nu = list(mono)
+        nu[k] -= 1
+        blocks[k][0].append(col)
+        blocks[k][1].append(idx[tuple(nu)])
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    p=st.sampled_from([2, 3, 5, 32003]),
+    d=st.integers(0, 4),
+    e=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, p=2, d=0, e=4, seed=1)  # d = 0: contraction by constants
+@example(n=3, p=3, d=4, e=0, seed=2)  # e = 0: d = s, a full catalecticant row
+@example(n=5, p=5, d=4, e=4, seed=3)  # falling factorials vanishing mod p
+def test_kernel_matches_loop_oracle(n, p, d, e, seed):
+    ring = RingCtx(n, p)
+    rng = np.random.default_rng(seed)
+    f = HomogPoly(ring, e, rng.integers(0, p, ring.dim(e)))
+    big = HomogPoly(ring, d + e, rng.integers(0, p, ring.dim(d + e)))
+    assert ring.mult_map(f, d) == loop_mult_map(f, d)
+    assert contraction_map(big, d) == loop_contraction_map(big, d)
+    assert contract_by_poly(f, d + e) == loop_contract_by_poly(f, d + e)
+    if d + e >= 1:
+        got = [(list(cols), list(prev)) for cols, prev in ring.strip(d + e)]
+        assert got == loop_strip(ring, d + e)
