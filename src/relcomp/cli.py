@@ -239,7 +239,7 @@ def cmd_resolve(args):
     ideal = eval_recipe(tree, ring, stream)
     if not isinstance(ideal, GradedIdeal):
         raise ParamError("the recipe must build an ideal")
-    hf = hilbert_function(ideal, args.cap) if args.cap else hilbert_function(ideal)
+    hf = hilbert_function(ideal, args.cap)
     if not hf.exact:
         print("quotient is not finite within the degree window <= %d;"
               " Betti numbers are not printed" % hf.cap, file=sys.stderr)
@@ -427,13 +427,13 @@ def build_parser():
         p.add_argument("-p", type=int, default=32003, help="field size")
         if seeded:
             p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--cap", type=int, default=None,
-                       help="degree window for non-terminating data")
         p.add_argument("--format", choices=["text", "json", "csv"],
                        default="text")
 
     p = sub.add_parser("froberg", help="Hilbert series of general forms")
     common(p, seeded=False)
+    p.add_argument("--cap", type=int, default=None,
+                   help="degree window for non-terminating data")
     p.add_argument("-d", "--degrees", type=_degrees, required=True)
     p.set_defaults(func=cmd_froberg)
 
@@ -450,6 +450,8 @@ def build_parser():
 
     p = sub.add_parser("resolve", help="run the engine on a recipe")
     common(p)
+    p.add_argument("--cap", type=int, default=None,
+                   help="degree window for non-terminating data")
     p.add_argument("recipe")
     p.add_argument("--witness", default=None,
                    help="write a replayable witness JSON here")

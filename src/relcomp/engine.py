@@ -12,6 +12,13 @@ The per-degree data are: an abstract basis, multiplication matrices for
 each variable, and a reduction table sending every monomial of R_d to
 its class.
 
+Each GradedIdeal owns one QuotientBasis of its generators, built lazily
+(GradedIdeal.quotient) and shared by every reader of R/I; the generators
+are never changed after construction.  The degree up to which R/I is
+probed is the ideal's proven GradedIdeal.artinian_bound.  The other
+models are incremental ones of partial ideals, used while colon ideals,
+annihilators and minimal generating sets are assembled.
+
 On top of that sit Hilbert functions, graded Betti numbers via the
 homology of the Koszul complex tensored with A, minimal generator
 counts, socle profiles, colon ideals (linkage), inverse-system
@@ -20,7 +27,9 @@ verdict.  A brute-force iterated-syzygy computation of Betti numbers is
 kept as an independent cross-check for small instances.
 """
 
+import functools
 import itertools
+from collections import Counter
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -28,14 +37,14 @@ from dataclasses import dataclass, field
 from .betti import BettiTable
 from .errors import (
     CapError,
-    DegreeError,
+    InternalError,
     NotArtinianError,
     NotContainedError,
     ParamError,
 )
 from .gfp import PrimeMatrix, kernel_basis, rank, rref, stack
 from .ring import HomogPoly, contract_by_poly, contraction_map
-from .series import HilbertSeries, linkage_hf, rc_min_bound, rc_upper_bound_liaison
+from .series import HilbertSeries, rc_min_bound, rc_upper_bound_liaison
 
 __all__ = [
     "GradedIdeal",
@@ -58,7 +67,8 @@ __all__ = [
 
 
 class GradedIdeal:
-    """A homogeneous ideal given by generators, with provenance data."""
+    """A homogeneous ideal given by fixed generators, with provenance data
+    and the model of R/I they define."""
 
     def __init__(self, ring, gens, provenance=None):
         self.ring = ring
@@ -70,6 +80,48 @@ class GradedIdeal:
 
     def degrees(self):
         return sorted(g.degree for g in self.gens)
+
+    @functools.cached_property
+    def quotient(self):
+        """The model of R/I, built on first use and kept."""
+        return QuotientBasis(self.ring, self.gens)
+
+    def artinian_bound(self):
+        """A degree in which R/I vanishes whenever R/I is Artinian, or None
+        when R/I cannot be Artinian.
+
+        With generator degrees d_1 <= ... <= d_m the bound is
+        d_{m-n+1} + ... + d_m - n + 1 (0 for the unit ideal).  Proof, for a
+        proper ideal I with R/I Artinian (so m >= n and I has height n):
+
+        * Adjoining one generator raises the height by at most 1 (Krull's
+          principal ideal theorem).  Removing the n - i generators of
+          largest degree therefore leaves height >= i: the generators of
+          degree <= d_{m-n+i} generate an ideal of height >= i.
+        * Work over the algebraic closure, an infinite field.  With
+          D = d_{m-n+i}, the ideal generated by I_D contains x_j^(D-e) g
+          for every generator g of degree e <= D, so a prime containing it
+          contains those generators or every variable: its height is >= i
+          too.  Given a regular sequence f_1, ..., f_{i-1}, the associated
+          primes of (f_1, ..., f_{i-1}) have height i - 1 (R is
+          Cohen-Macaulay), and graded prime avoidance yields a general f_i
+          in I_D outside all of them.  So f_1, ..., f_n is a regular
+          sequence of degrees d_{m-n+1}, ..., d_m.
+        * R/(f) is a complete intersection with socle degree
+          sum(d_{m-n+i} - 1), so it vanishes in degree
+          d_{m-n+1} + ... + d_m - n + 1, and R/I is a quotient of it.  The
+          Hilbert function does not change under field extension, so the
+          same holds over GF(p).
+
+        With fewer than n generators (and no unit) the height is < n, so
+        R/I is not Artinian and None is returned.
+        """
+        degrees, n = self.degrees(), self.ring.n
+        if degrees and degrees[0] == 0:
+            return 0
+        if len(degrees) < n:
+            return None
+        return sum(degrees[-n:]) - n + 1
 
     def __repr__(self):
         return "GradedIdeal(n=%d, p=%d, degrees=%s)" % (
@@ -223,23 +275,14 @@ class QuotientBasis:
         return self._mult[(k, d)]
 
 
-def _default_cap(ideal):
-    degrees = ideal.degrees()
-    n = ideal.ring.n
-    if degrees and degrees[0] == 0:
-        return 0
-    if len(degrees) < n:
-        return None
-    return sum(degrees[-n:]) - n + 1
-
-
 def hilbert_function(ideal, cap=None):
-    """Hilbert function of R/I, exact when it reaches zero."""
+    """Hilbert function of R/I up to degree cap (default: the ideal's
+    Artinian bound), exact when it reaches zero."""
     if cap is None:
-        cap = _default_cap(ideal)
+        cap = ideal.artinian_bound()
         if cap is None:
             raise CapError("fewer generators than variables: a cap is required")
-    qb = ideal if isinstance(ideal, QuotientBasis) else QuotientBasis(ideal.ring, ideal.gens)
+    qb = ideal.quotient
     coeffs = []
     for d in range(cap + 1):
         h = qb.dim(d)
@@ -249,33 +292,19 @@ def hilbert_function(ideal, cap=None):
     return HilbertSeries(coeffs, exact=False)
 
 
-def _artinian_quotient(ideal, cap):
-    """Model and exact Hilbert function of an Artinian R/I.
-
-    A proper ideal with fewer than n generators has height < n (Krull).
-    Otherwise, with D the largest generator degree, n general elements of
-    I_D form a regular sequence over the algebraic closure, so an Artinian
-    R/I vanishes in degree n(D - 1) + 1; that is where the probe stops.
-    """
-    degrees, n = ideal.degrees(), ideal.ring.n
-    if len(degrees) < n and 0 not in degrees:
-        raise NotArtinianError("fewer than %d generators: R/I is not Artinian" % n)
-    limit = cap if cap is not None else n * (max(degrees) - 1) + 1
-    qb = QuotientBasis(ideal.ring, ideal.gens)
-    coeffs = []
-    d = 0
-    while True:
-        h = qb.dim(d)
-        coeffs.append(h)
-        if h == 0:
-            break
-        if d >= limit:
-            raise NotArtinianError("quotient still alive at degree %d" % d)
-        d += 1
-    return qb, HilbertSeries(coeffs, exact=True)
+def _artinian_quotient(ideal):
+    """Model and exact Hilbert function of an Artinian R/I; raises
+    NotArtinianError when R/I is alive at the ideal's Artinian bound."""
+    if ideal.artinian_bound() is None:
+        raise NotArtinianError(
+            "fewer than %d generators: R/I is not Artinian" % ideal.ring.n)
+    hf = hilbert_function(ideal)
+    if not hf.exact:
+        raise NotArtinianError("quotient still alive at degree %d" % hf.cap)
+    return ideal.quotient, hf
 
 
-def betti_numbers(ideal, cap=None):
+def betti_numbers(ideal):
     """Graded Betti numbers of R/I as the homology of the Koszul complex
     on the variables tensored with R/I.
 
@@ -284,7 +313,7 @@ def betti_numbers(ideal, cap=None):
     """
     ring = ideal.ring
     n = ring.n
-    qb, hf = _artinian_quotient(ideal, cap if cap is not None else _default_cap(ideal))
+    qb, hf = _artinian_quotient(ideal)
     s = hf.top_degree()
     adim = [qb.dim(d) for d in range(s + 2)]
 
@@ -332,39 +361,43 @@ def betti_numbers(ideal, cap=None):
                 r_next = boundary_rank(i + 1, j)
                 ranks[(i + 1, j)] = r_next
             b = (cdim - r_i) - r_next
+            if b < 0:
+                raise InternalError(
+                    "negative Betti number %d at (%d, %d)" % (b, i, j))
             if b:
                 beta[(i, j)] = b
     return BettiTable(beta)
 
 
-def minimal_generators(ideal, cap=None):
-    """Degrees and counts of a minimal generating set of the ideal.
+def _minimal_generator_list(ideal):
+    """A minimal generating set chosen from the given generators.
 
-    Processes the given generators in degree order through an
-    incrementally built quotient; a generator counts in degree d exactly
-    when its class modulo the lower-degree part is nonzero and
-    independent of the classes of its peers.
+    Processes the generators in degree order through an incrementally
+    built quotient; a generator is kept in degree d exactly when its class
+    modulo the lower-degree part is nonzero and independent of the classes
+    of the peers kept before it.
     """
     ring = ideal.ring
     qb = QuotientBasis(ring)
     by_degree = {}
     for g in ideal.gens:
         by_degree.setdefault(g.degree, []).append(g)
-    out = []
+    chosen = []
     for d in sorted(by_degree):
         if qb.dim(d) == 0:
             break
-        vecs = [qb.reduce(g) for g in by_degree[d]]
-        m = PrimeMatrix(np.array(vecs), ring.p)
-        red, pivots = rref(m)
-        count = len(pivots)
-        if count:
-            out.append((d, count))
+        vecs = np.array([qb.reduce(g) for g in by_degree[d]])
+        # pivots of the transposed matrix index independent generators
+        _, pivots = rref(PrimeMatrix(vecs.T, ring.p))
+        chosen.extend(by_degree[d][idx] for idx in pivots)
         for g in by_degree[d]:
             qb.add_generator(g)
-        if cap is not None and d >= cap:
-            break
-    return out
+    return chosen
+
+
+def minimal_generators(ideal):
+    """Degrees and counts of a minimal generating set of the ideal."""
+    return sorted(Counter(g.degree for g in _minimal_generator_list(ideal)).items())
 
 
 @dataclass
@@ -393,10 +426,10 @@ class SocleProfile:
         return "(" + ", ".join(str(d) for d in self.degrees) + ")"
 
 
-def socle(ideal, cap=None):
+def socle(ideal):
     """Socle profile of an Artinian quotient: per degree, the common
     kernel of multiplication by every variable."""
-    qb, hf = _artinian_quotient(ideal, cap)
+    qb, hf = _artinian_quotient(ideal)
     s = hf.top_degree()
     n = ideal.ring.n
     degrees = []
@@ -410,69 +443,76 @@ def socle(ideal, cap=None):
     return SocleProfile(degrees)
 
 
-def _new_generator_rows(build_qb, kernel_rows, d, want):
-    """Pick rows from a kernel basis whose classes in the partial
-    quotient are independent; returns (chosen row indices)."""
-    if want == 0:
-        return []
-    reduced = build_qb.reduce_rows(kernel_rows, d)
-    red, pivots = rref(PrimeMatrix(reduced.a.T, build_qb.ring.p))
-    # pivots of the transposed matrix index independent rows
-    return list(pivots[:want])
+def _require_contained(c, ideal, role):
+    """Raise NotContainedError unless every generator of c lies in ideal."""
+    for g in c.gens:
+        if ideal.quotient.reduce(g).any():
+            raise NotContainedError(
+                "a degree %d generator of the %s ideal is not in the ideal"
+                % (g.degree, role))
+
+
+def _sift_generators(ring, degrees, blocks):
+    """Generators, degree by degree, of the ideal whose degree d piece is
+    the joint kernel of the matrices blocks(d) (all of R_d when there are
+    none).
+
+    The kernel is sifted through an incrementally built quotient of the
+    generators found so far: a kernel row becomes a generator when its
+    class there is independent of the classes of its predecessors.  Stops
+    at the first degree where that quotient vanishes.  Returns the
+    quotient and the generators.
+    """
+    build = QuotientBasis(ring)
+    gens = []
+    for d in degrees:
+        bdim = build.dim(d)
+        if bdim == 0:
+            break
+        mats = blocks(d)
+        if mats:
+            ker = kernel_basis(stack(mats))
+        else:
+            ker = PrimeMatrix(np.eye(ring.dim(d), dtype=np.int64), ring.p)
+        want = ker.rows - (ring.dim(d) - bdim)
+        if want < 0:
+            raise InternalError("inconsistent quotient dimensions in degree %d" % d)
+        if want:
+            reduced = build.reduce_rows(ker.a, d)
+            # pivots of the transposed matrix index independent rows
+            _, pivots = rref(PrimeMatrix(reduced.a.T, ring.p))
+            for idx in pivots[:want]:
+                g = HomogPoly(ring, d, ker.a[idx])
+                gens.append(g)
+                build.add_generator(g)
+    return build, gens
 
 
 def ideal_quotient(c, ideal, cap=None):
-    """The colon ideal c : I, with generators found degree by degree.
+    """The colon ideal c : I, with generators found degree by degree up to
+    cap (default: one past the socle degree of R/c).
 
     Membership of f in degree d is the vanishing of f*g_k in R/c for
-    every generator g_k of I; the kernel is then sifted through an
-    incrementally built quotient to extract minimal generators.
+    every generator g_k of I; the kernel is then sifted for minimal
+    generators.
     """
     ring = c.ring
-    qc = QuotientBasis(ring, c.gens)
     h_c = hilbert_function(c)
     if not h_c.exact:
         raise NotArtinianError("the linking ideal must be Artinian")
     e = h_c.top_degree()
-    # containment precheck
-    qi = QuotientBasis(ring, ideal.gens)
-    for g in c.gens:
-        if qi.reduce(g).any():
-            raise NotContainedError(
-                "a degree %d generator of the linking ideal is not in the ideal"
-                % g.degree
-            )
+    _require_contained(c, ideal, "linking")
     if cap is None:
         cap = e + 1
-    build = QuotientBasis(ring)
-    gens = []
-    for d in range(cap + 1):
-        bdim = build.dim(d)
-        if bdim == 0:
-            break
-        blocks = []
-        for g in ideal.gens:
-            target = d + g.degree
-            if target > e:
-                continue  # R/c vanishes there: no condition
-            m = ring.mult_map(g, d)
-            blocks.append(qc.table(target).matmul(m))
-        if blocks:
-            ker = kernel_basis(stack(blocks))
-        else:
-            ker = PrimeMatrix(np.eye(ring.dim(d), dtype=np.int64), ring.p)
-        jdim = ker.rows
-        want = jdim - (ring.dim(d) - bdim)
-        if want < 0:
-            raise ParamError("inconsistent quotient dimensions (bug)")
-        if want:
-            for idx in _new_generator_rows(build, ker.a, d, want):
-                g = HomogPoly(ring, d, ker.a[idx])
-                gens.append(g)
-                build.add_generator(g)
-    else:
-        if build.dim(cap) != 0 and cap < e + 1:
-            raise CapError("generators may exist beyond degree %d" % cap)
+
+    def blocks(d):
+        # R/c vanishes beyond degree e: no condition there
+        return [c.quotient.table(d + g.degree).matmul(ring.mult_map(g, d))
+                for g in ideal.gens if d + g.degree <= e]
+
+    build, gens = _sift_generators(ring, range(cap + 1), blocks)
+    if cap < e + 1 and build.dim(cap) != 0:
+        raise CapError("generators may exist beyond degree %d" % cap)
     prov = {
         "recipe": [
             "quotient",
@@ -483,7 +523,7 @@ def ideal_quotient(c, ideal, cap=None):
     return GradedIdeal(ring, gens, prov)
 
 
-def annihilator_ideal(f_list, cap=None):
+def annihilator_ideal(f_list):
     """The ideal of operators annihilating every given dual form.
 
     Degree d membership is the joint kernel of the contraction maps of
@@ -496,27 +536,9 @@ def annihilator_ideal(f_list, cap=None):
         raise ParamError("need at least one dual form")
     ring = f_list[0].ring
     smax = max(f.degree for f in f_list)
-    if cap is None:
-        cap = smax + 1
-    build = QuotientBasis(ring)
-    gens = []
-    for d in range(1, cap + 1):
-        bdim = build.dim(d)
-        if bdim == 0:
-            break
-        blocks = [contraction_map(f, d) for f in f_list if f.degree >= d]
-        if blocks:
-            ker = kernel_basis(stack(blocks))
-        else:
-            ker = PrimeMatrix(np.eye(ring.dim(d), dtype=np.int64), ring.p)
-        want = ker.rows - (ring.dim(d) - bdim)
-        if want < 0:
-            raise ParamError("inconsistent quotient dimensions (bug)")
-        if want:
-            for idx in _new_generator_rows(build, ker.a, d, want):
-                g = HomogPoly(ring, d, ker.a[idx])
-                gens.append(g)
-                build.add_generator(g)
+    _, gens = _sift_generators(
+        ring, range(1, smax + 2),
+        lambda d: [contraction_map(f, d) for f in f_list if f.degree >= d])
     return GradedIdeal(ring, gens, {"recipe": ["ann", len(f_list), smax]})
 
 
@@ -554,7 +576,7 @@ class CompressionVerdict:
     below_liaison: list = field(default_factory=list)
 
 
-def is_relatively_compressed(ideal, c, cap=None):
+def is_relatively_compressed(ideal, c):
     """Compare the Hilbert function of R/I against both upper bounds for
     quotients of R/c with the observed socle profile.
 
@@ -563,14 +585,11 @@ def is_relatively_compressed(ideal, c, cap=None):
     indicate a bug in the bounds or the computation.
     """
     ring = ideal.ring
-    qi = QuotientBasis(ring, ideal.gens)
-    for g in c.gens:
-        if qi.reduce(g).any():
-            raise NotContainedError("the comparison ideal is not contained")
-    hf = hilbert_function(ideal, cap) if cap else hilbert_function(ideal)
+    _require_contained(c, ideal, "comparison")
+    hf = hilbert_function(ideal)
     if not hf.exact:
-        raise NotArtinianError("quotient is not Artinian within the cap")
-    prof = socle(ideal, cap)
+        raise NotArtinianError("quotient is not Artinian within its bound")
+    prof = socle(ideal)
     ci_degrees = c.degrees()
     s = prof.socle_degree
     cdim = prof.degrees.count(s)
@@ -653,33 +672,20 @@ def ci_in(ideal, degrees, stream):
 # independent small-instance oracle: iterated syzygies
 
 
-def betti_numbers_syzygy(ideal, cap=None):
+def betti_numbers_syzygy(ideal):
     """Betti numbers by explicitly computing kernels of presentation
     matrices stage by stage and minimalizing.  Exponentially more work
     than the homological route; intended for small cross-checks only.
     """
     ring = ideal.ring
     n = ring.n
-    hf = hilbert_function(ideal, cap) if cap is not None else hilbert_function(ideal)
+    hf = hilbert_function(ideal)
     if not hf.exact:
         raise NotArtinianError("oracle requires an Artinian quotient")
     s = hf.top_degree()
     beta = {(0, 0): 1}
     # stage 1: minimal generators
-    mingens = []
-    qb = QuotientBasis(ring)
-    by_degree = {}
-    for g in ideal.gens:
-        by_degree.setdefault(g.degree, []).append(g)
-    for d in sorted(by_degree):
-        if qb.dim(d) == 0:
-            break
-        vecs = np.array([qb.reduce(g) for g in by_degree[d]])
-        red, pivots = rref(PrimeMatrix(vecs.T, ring.p))
-        for idx in pivots:
-            mingens.append(by_degree[d][idx])
-        for g in by_degree[d]:
-            qb.add_generator(g)
+    mingens = _minimal_generator_list(ideal)
     for g in mingens:
         beta[(1, g.degree)] = beta.get((1, g.degree), 0) + 1
 
@@ -729,36 +735,16 @@ def _syzygy_stage(ring, target_degrees, columns, top):
         ker = kernel_basis(matrix)
         if ker.rows == 0:
             continue
-        # span of shifts of previously found kernel generators
-        old = _stage_matrix(ring, degs, new_columns, m) if new_columns else None
-        if old is not None and old.cols:
-            _, pivots = rref(stack([PrimeMatrix(old.a.T, ring.p), ker]))
-            base = rank(PrimeMatrix(old.a.T, ring.p))
-            fresh = len(pivots) - base
-        else:
-            fresh = ker.rows
-        if fresh <= 0:
-            continue
-        # pick kernel rows independent from the old span
-        chosen = []
-        if old is not None and old.cols:
-            running = PrimeMatrix(old.a.T, ring.p)
-            base = rank(running)
-            for r in range(ker.rows):
-                cand = stack([running, PrimeMatrix(ker.a[r:r + 1], ring.p)])
-                rk = rank(cand)
-                if rk > base:
-                    chosen.append(r)
-                    running = cand
-                    base = rk
-                if len(chosen) == fresh:
-                    break
-        else:
-            chosen = list(range(fresh))
+        # kernel rows independent from the span of shifts of previously
+        # found kernel generators: the pivot columns past that span
+        old = _stage_matrix(ring, degs, new_columns, m)
+        _, pivots = rref(PrimeMatrix(np.hstack([old.a, ker.a.T]), ring.p))
+        chosen = [c - old.cols for c in pivots if c >= old.cols]
         for r in chosen:
             comps = _split_components(ring, ker.a[r], degs, m)
             new_columns.append((m, comps))
-        found[m] = found.get(m, 0) + len(chosen)
+        if chosen:
+            found[m] = len(chosen)
     return degs, new_columns, found
 
 

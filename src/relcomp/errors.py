@@ -43,3 +43,8 @@ class ParityError(RelcompError):
 
 class SplitError(RelcompError):
     """A mapping cone cancellation request is inconsistent."""
+
+
+class InternalError(RelcompError):
+    """Exact data contradict each other: a defect of the program, never a
+    property of the input."""

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from relcomp.cli import eval_recipe, main, parse_recipe
-from relcomp.engine import GradedIdeal, hilbert_function
+from relcomp.engine import GradedIdeal, QuotientBasis, hilbert_function
 from relcomp.errors import ParamError
 from relcomp.ring import FormStream, RingCtx
 
@@ -140,6 +140,39 @@ def test_resolve_refuses_infinite_quotient(capsys):
                  "--cap", "4"]) == 1
     err = capsys.readouterr().err
     assert "not finite" in err
+
+
+@pytest.mark.parametrize("recipe, n, models", [
+    ("ann(perp-pick(1,6,ci(2)))", "4", 2),
+    ("link(ci(3,3,3), general-forms(3,3,3,3))", "3", 4),
+])
+def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, recipe, n,
+                                            models):
+    # ann: the annihilator's incremental model and the result's model;
+    # link: the models of both ideals, the colon's incremental one, the result's
+    built = []
+    init = QuotientBasis.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuotientBasis, "__init__", counting_init)
+    assert main(["resolve", recipe, "-n", n]) == 0
+    assert "socle:" in capsys.readouterr().out
+    assert len(built) == models
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "aci", "-d", "2,2,3"],
+    ["reproduce", "froberg-rows"],
+    ["search", "conj-4.8", "--limit", "1"],
+])
+def test_cap_flag_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cap", "3"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
 
 
 def test_reproduce_single_case(capsys):

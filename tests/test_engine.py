@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from relcomp import engine
 from relcomp.betti import ghost_classify, koszul_shape
 from relcomp.engine import (
     GradedIdeal,
@@ -20,6 +22,7 @@ from relcomp.engine import (
     socle,
 )
 from relcomp.errors import (
+    InternalError,
     NotArtinianError,
     NotContainedError,
     ParamError,
@@ -80,6 +83,34 @@ def test_non_artinian_with_enough_generators_detected():
                                for t in ("x1^2", "x1*x2", "x2^2")])
     with pytest.raises(NotArtinianError, match="degree 4"):
         socle(ideal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_shared_model_and_proven_bound(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    degrees = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n + 2),
+                        label="degrees")
+    seed = data.draw(st.integers(1, 1000), label="seed")
+    ring = RingCtx(n, 32003)
+    ideal = general_forms(ring, degrees, FormStream(ring, seed))
+    bound = ideal.artinian_bound()
+    hf = hilbert_function(ideal)
+    assert hf.exact and hf.top_degree() < bound
+    # every reader uses the ideal's one model and agrees with a fresh one
+    model = ideal.quotient
+    assert betti_numbers(ideal) == betti_numbers(GradedIdeal(ring, ideal.gens))
+    assert socle(ideal) == socle(GradedIdeal(ring, ideal.gens))
+    assert hilbert_function(ideal) == hilbert_function(GradedIdeal(ring, ideal.gens))
+    assert ideal.quotient is model
+
+
+def test_artinian_bound_needs_enough_generators():
+    ring = ring3()
+    assert variables_ideal(ring).artinian_bound() == 1
+    assert GradedIdeal(ring, [ring.variable(1)]).artinian_bound() is None
+    unit = GradedIdeal(ring, [ring.monomial((0, 0, 0)), ring.variable(1)])
+    assert unit.artinian_bound() == 0
 
 
 def test_unit_ideal_quotient_is_zero():
@@ -163,6 +194,15 @@ def test_betti_euler_identity():
     ideal = general_forms(ring, (2, 2, 3), FormStream(ring, 7))
     table = betti_numbers(ideal)
     assert table.to_shape().check_euler(list(hilbert_function(ideal)), 3)
+
+
+def test_negative_betti_number_is_refused(monkeypatch):
+    ring = ring3()
+    ci = general_forms(ring, (2, 2, 2), FormStream(ring, 1))
+    true_rank = engine.rank
+    monkeypatch.setattr(engine, "rank", lambda m: true_rank(m) + 1)
+    with pytest.raises(InternalError, match="negative Betti number"):
+        betti_numbers(ci)
 
 
 def test_betti_oracle_agreement_fixed_cases():
