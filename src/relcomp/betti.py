@@ -112,27 +112,26 @@ class FreeModule:
         return "FreeModule(%s)" % self.text()
 
 
+def _subset_sums(degrees, kmax):
+    """counts[k][s] = number of k-element index subsets of degrees with
+    degree sum s, for k = 0..kmax."""
+    counts = [Counter() for _ in range(kmax + 1)]
+    counts[0][0] = 1
+    for v in degrees:
+        for k in range(kmax - 1, -1, -1):
+            for s, c in counts[k].items():
+                counts[k + 1][s + v] += c
+    return counts
+
+
 def koszul_module(degrees, i):
     """i-th exterior power of a direct sum of twists R(-d_j).
 
     Twists are the sums of the degrees over all i-element subsets.
     """
-    degrees = list(degrees)
     if i < 0:
         raise RangeError("exterior power index %d out of range" % i)
-    out = FreeModule()
-    if i > len(degrees):
-        return out
-    # dp[k] counts k-subsets by their degree sum
-    dp = [Counter() for _ in range(i + 1)]
-    dp[0][0] = 1
-    for d in degrees:
-        for k in range(min(i, len(degrees)) - 1, -1, -1):
-            for s, c in dp[k].items():
-                dp[k + 1][s + d] += c
-    for s, c in dp[i].items():
-        out.add(s, c)
-    return out
+    return FreeModule(_subset_sums(degrees, i)[i])
 
 
 def koszul_shape(degrees):
@@ -728,18 +727,6 @@ class GhostReport:
         return out
 
 
-def _subset_sum_counts(values, kmax, smax):
-    """counts[k][s] = number of k-element index subsets with degree sum s."""
-    counts = [Counter() for _ in range(kmax + 1)]
-    counts[0][0] = 1
-    for v in values:
-        for k in range(kmax - 1, -1, -1):
-            for s, c in counts[k].items():
-                if s + v <= smax:
-                    counts[k + 1][s + v] += c
-    return counts
-
-
 def ghost_classify(table, gen_degrees=None, socle_twist=None, n=None):
     """Classify repeated twists in consecutive columns of a Betti table.
 
@@ -758,7 +745,7 @@ def ghost_classify(table, gen_degrees=None, socle_twist=None, n=None):
         n = table.max_index()
     kmax = min(len(gen_degrees), n + 1)
     smax = max((j for _, j in table.beta), default=0)
-    counts = _subset_sum_counts(sorted(gen_degrees), kmax, smax)
+    counts = _subset_sums(gen_degrees, kmax)
 
     def koszul_at(i, j):
         if not 1 <= i <= kmax - 1 or j < 0 or j > smax:

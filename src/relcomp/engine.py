@@ -219,41 +219,30 @@ class QuotientBasis:
             )
             self._top = d
             return
-        rel_rows = []
-        # commutation relations through the previous multiplication maps
-        for j in range(n):
-            mj = self.mult_built(j, d - 2, a2, a1)
-            for k in range(j + 1, n):
-                mk = self.mult_built(k, d - 2, a2, a1)
-                for b in range(a2):
-                    row = np.zeros(vdim, dtype=np.int64)
-                    row[j * a1:(j + 1) * a1] = mk.a[:, b]
-                    row[k * a1:(k + 1) * a1] = (-mj.a[:, b]) % p
-                    rel_rows.append(row)
+        # commutation relations x_j*(x_k*b) = x_k*(x_j*b) for b in A_{d-2},
+        # one block of a2 rows per pair j < k
+        rels = [np.zeros((0, vdim), dtype=np.int64)]
+        if a2:
+            mults = [self.mult(k, d - 2).a.T for k in range(n)]
+            for j, k in itertools.combinations(range(n), 2):
+                blk = np.zeros((a2, vdim), dtype=np.int64)
+                blk[:, j * a1:(j + 1) * a1] = mults[k]
+                blk[:, k * a1:(k + 1) * a1] = -mults[j]
+                rels.append(blk)
         # images of the new generators: g = sum_k x_k g_k with g_k read off
         # by stripping the first variable of each monomial
         prev_table = self._table[d - 1]
         strips = ring.strip(d)
         if gens_d:
             coeffs = np.array([g.coeffs for g in gens_d])
-            rel_rows.extend(np.hstack([
+            rels.append(np.hstack([
                 PrimeMatrix(coeffs[:, cols], p).matmul(
                     PrimeMatrix(prev_table.a[:, prev].T, p)).a
                 for cols, prev in strips
             ]))
-        if rel_rows:
-            red, pivots = rref(PrimeMatrix(np.array(rel_rows), p))
-        else:
-            red, pivots = None, []
-        pivset = set(pivots)
-        std = [c for c in range(vdim) if c not in pivset]
-        ad = len(std)
         # vred: coordinates of any V-vector in the chosen basis of A_d
-        vred = np.zeros((ad, vdim), dtype=np.int64)
-        for i, c in enumerate(std):
-            vred[i, c] = 1
-        if pivots:
-            vred[:, pivots] = (-red.a[: len(pivots), std].T) % p
+        vred = kernel_basis(PrimeMatrix(np.vstack(rels), p)).a
+        ad = vred.shape[0]
         self._dims[d] = ad
         for k in range(n):
             self._mult[(k, d - 1)] = PrimeMatrix(
@@ -267,12 +256,6 @@ class QuotientBasis:
                 table[:, cols] = self._mult[(k, d - 1)].matmul(sub).a
         self._table[d] = PrimeMatrix(table, p)
         self._top = d
-
-    def mult_built(self, k, d, a_from, a_to):
-        """mult(k, d) when degree d+1 is already built (helper for _build)."""
-        if d < 0 or a_from == 0:
-            return PrimeMatrix(np.zeros((a_to, a_from), dtype=np.int64), self.ring.p)
-        return self._mult[(k, d)]
 
 
 def hilbert_function(ideal, cap=None):
@@ -455,7 +438,7 @@ def _require_contained(c, ideal, role):
 def _sift_generators(ring, degrees, blocks):
     """Generators, degree by degree, of the ideal whose degree d piece is
     the joint kernel of the matrices blocks(d) (all of R_d when there are
-    none).
+    none: the kernel of a matrix with no rows is the identity).
 
     The kernel is sifted through an incrementally built quotient of the
     generators found so far: a kernel row becomes a generator when its
@@ -469,11 +452,7 @@ def _sift_generators(ring, degrees, blocks):
         bdim = build.dim(d)
         if bdim == 0:
             break
-        mats = blocks(d)
-        if mats:
-            ker = kernel_basis(stack(mats))
-        else:
-            ker = PrimeMatrix(np.eye(ring.dim(d), dtype=np.int64), ring.p)
+        ker = kernel_basis(stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + blocks(d)))
         want = ker.rows - (ring.dim(d) - bdim)
         if want < 0:
             raise InternalError("inconsistent quotient dimensions in degree %d" % d)
@@ -550,11 +529,8 @@ def perp_basis(c, j):
     of degree <= j contracts F to zero.
     """
     ring = c.ring
-    blocks = [contract_by_poly(g, j) for g in c.gens if g.degree <= j]
-    if not blocks:
-        ker = PrimeMatrix(np.eye(ring.dim(j), dtype=np.int64), ring.p)
-    else:
-        ker = kernel_basis(stack(blocks))
+    ker = kernel_basis(stack([PrimeMatrix.zeros(0, ring.dim(j), ring.p)]
+                             + [contract_by_poly(g, j) for g in c.gens if g.degree <= j]))
     return [HomogPoly(ring, j, row) for row in ker.a]
 
 

@@ -1,24 +1,57 @@
 """
 Dense exact linear algebra over a prime field GF(p).
 
-Matrices are numpy int64 arrays with entries reduced into [0, p).  All row
-operations are vectorized; intermediate products stay below p**2 * rows,
-so any p below 2**31 is safe in int64.
+Matrices are numpy int64 arrays with entries reduced into [0, p).  The
+modulus must be a prime below 2**31 (check_modulus; PrimeMatrix refuses
+anything else): pivots are inverted as x**(p-2), which is an inverse only
+modulo a prime, and intermediate products stay below p**2 * rows, which the
+bound keeps inside int64.
 
-The pivot choice is deterministic (first nonzero entry in the column,
-scanning top to bottom), so reduced row echelon forms, pivot columns and
-kernel bases are reproducible across runs.
+All row reduction goes through one pivot loop, _eliminate.  It pivots on
+the first nonzero entry of each column, scanning top to bottom, so reduced
+row echelon forms, pivot columns and kernel bases are reproducible across
+runs.  When column c is pivoted, the pivot row is zero left of c (those
+columns are pivot columns already cleared in it, or columns with no pivot,
+which are zero from the pivot row down), so each row update starts at
+column c.
 """
+
+import functools
 
 import numpy as np
 
+from .errors import ParamError
+
 __all__ = [
     "PrimeMatrix",
+    "check_modulus",
     "rref",
     "rank",
     "kernel_basis",
     "stack",
 ]
+
+
+@functools.lru_cache(maxsize=None)
+def _is_prime(p):
+    """Deterministic Miller-Rabin, exact below 2**64 with the prime bases up to 37."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % b == 0 for b in bases):
+        return p in bases
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    for b in bases:
+        x = pow(b, q, p)
+        if x != 1 and all(pow(x, 2**r, p) != p - 1 for r in range(s)):
+            return False
+    return True
+
+
+def check_modulus(p):
+    """Raise ParamError unless p is a prime below 2**31."""
+    if not (p < 2**31 and _is_prime(p)):
+        raise ParamError("modulus must be a prime below 2**31, got %d" % p)
 
 
 def _as_array(entries, p):
@@ -32,8 +65,7 @@ class PrimeMatrix:
     """A dense matrix over GF(p).  Thin wrapper around a numpy array."""
 
     def __init__(self, entries, p):
-        if p < 2:
-            raise ValueError("modulus must be a prime >= 2")
+        check_modulus(p)
         self.p = p
         self.a = _as_array(entries, p)
 
@@ -77,30 +109,34 @@ class PrimeMatrix:
         return PrimeMatrix(out, self.p)
 
 
-def _inv(x, p):
-    return pow(int(x), p - 2, p)
+def _eliminate(a, p, full):
+    """Row-reduce the int64 array a in place; returns the pivot columns.
 
-
-def _rref_inplace(a, p):
-    """Gauss-Jordan elimination.  Returns the list of pivot columns."""
+    Each pivot row is scaled to 1 and its column cleared below the pivot
+    (full=False: a row echelon form) or in every other row (full=True: the
+    reduced row echelon form).  Updates start at the pivot column: the
+    pivot row is zero left of it (see the module docstring).
+    """
     rows, cols = a.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * _inv(a[r, c], p)) % p
+        a[r, c:] = (a[r, c:] * pow(int(a[r, c]), p - 2, p)) % p
+        # multipliers of the pivot row; the rows kept are the pivot row
+        # and, for a row echelon form, the rows above it
         col = a[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
+        col[(r if full else 0):r + 1] = 0
+        hit = col.nonzero()[0]
         if hit.size:
-            a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
+            a[hit, c:] = (a[hit, c:] - np.outer(col[hit], a[r, c:])) % p
         pivots.append(c)
         r += 1
     return pivots
@@ -115,50 +151,32 @@ def rref(m):
     on the nonzero rows.
     """
     a = m.a.copy()
-    pivots = _rref_inplace(a, m.p)
+    pivots = _eliminate(a, m.p, full=True)
     return PrimeMatrix(a, m.p), pivots
 
 
 def rank(m):
     """Rank via forward elimination only (cheaper than full rref)."""
-    a = m.a.copy()
-    p = m.p
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        below = a[r + 1:, c]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            factor = (below[hit] * _inv(a[r, c], p)) % p
-            a[r + 1:][hit, c:] = (a[r + 1:][hit, c:] - np.outer(factor, a[r, c:])) % p
-        r += 1
-    return r
+    return len(_eliminate(m.a.copy(), m.p, full=False))
 
 
 def kernel_basis(m):
     """Basis of the right kernel, as the rows of a PrimeMatrix.
 
     One basis vector per free column, produced in increasing free-column
-    order.  The vector for free column f has entry 1 at position f.
+    order.  The vector for free column f has entry 1 at position f, 0 at
+    the other free columns, and -red[r, f] at the r-th pivot column, where
+    red is the rref.  A matrix with no rows has every column free, so its
+    kernel basis is the identity.
     """
     red, pivots = rref(m)
-    p, cols = m.p, m.cols
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, c in enumerate(pivots):
-            basis[k, c] = (-red.a[r, f]) % p
-    return PrimeMatrix(basis, p)
+    free = np.ones(m.cols, dtype=bool)
+    free[pivots] = False
+    free = free.nonzero()[0]
+    basis = np.zeros((free.size, m.cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -red.a[:len(pivots), free].T % m.p
+    return PrimeMatrix(basis, m.p)
 
 
 def stack(mats):

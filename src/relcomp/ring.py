@@ -26,7 +26,7 @@ import re
 import numpy as np
 
 from .errors import DegreeError, ParamError
-from .gfp import PrimeMatrix
+from .gfp import PrimeMatrix, check_modulus
 
 __all__ = [
     "RingCtx",
@@ -56,8 +56,7 @@ class RingCtx:
     def __init__(self, n, p=32003):
         if n < 1:
             raise ParamError("need at least one variable")
-        if not (p < 2**31 and _is_prime(p)):
-            raise ParamError("modulus must be a prime below 2**31, got %d" % p)
+        check_modulus(p)
         self.n = n
         self.p = p
         self._basis = {}
@@ -167,21 +166,6 @@ class RingCtx:
         a = np.zeros((self.dim(d + f.degree), self.dim(d)), dtype=np.int64)
         a[self.sum_index(d, f.degree), np.arange(self.dim(d))[:, None]] = f.coeffs
         return PrimeMatrix(a, self.p)
-
-
-def _is_prime(p):
-    """Deterministic Miller-Rabin, exact below 2**64 with the prime bases up to 37."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if p < 2 or any(p % b == 0 for b in bases):
-        return p in bases
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
-    for b in bases:
-        x = pow(b, q, p)
-        if x != 1 and all(pow(x, 2**r, p) != p - 1 for r in range(s)):
-            return False
-    return True
 
 
 _TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*?\s*)?((?:x\d+(?:\^\d+)?(?:\s*\*\s*)?)*)\s*$")

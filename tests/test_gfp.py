@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from relcomp.errors import ParamError
 from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref, stack
+from relcomp.ring import RingCtx
+
+PRIMES = (2, 3, 5, 32003, 2147483647)
 
 
 def random_matrix(rng, rows, cols, p):
@@ -75,3 +81,121 @@ def test_rref_reproducible_pivot_choice():
     red1, piv1 = rref(m)
     red2, piv2 = rref(PrimeMatrix(m.a.copy(), 5))
     assert np.array_equal(red1.a, red2.a) and list(piv1) == list(piv2)
+
+
+# Reference elimination: separate Gauss-Jordan and forward-elimination loops
+# and a kernel built entry by entry, kept as the oracle of the one pivot loop.
+
+
+def _oracle_inv(x, p):
+    return pow(int(x), p - 2, p)
+
+
+def oracle_rref(a, p):
+    a = a.copy()
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * _oracle_inv(a[r, c], p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        hit = np.nonzero(col)[0]
+        if hit.size:
+            a[hit] = (a[hit] - np.outer(col[hit], a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+def oracle_rank(a, p):
+    a = a.copy()
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        below = a[r + 1:, c]
+        hit = np.nonzero(below)[0]
+        if hit.size:
+            factor = (below[hit] * _oracle_inv(a[r, c], p)) % p
+            a[r + 1:][hit, c:] = (a[r + 1:][hit, c:] - np.outer(factor, a[r, c:])) % p
+        r += 1
+    return r
+
+
+def oracle_kernel(a, p):
+    red, pivots = oracle_rref(a, p)
+    cols = a.shape[1]
+    pivset = set(pivots)
+    free = [c for c in range(cols) if c not in pivset]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for k, f in enumerate(free):
+        basis[k, f] = 1
+        for r, c in enumerate(pivots):
+            basis[k, c] = (-red[r, f]) % p
+    return basis
+
+
+@st.composite
+def prime_matrices(draw):
+    """Dense matrices, or rank-deficient products of two thin ones."""
+    p = draw(st.sampled_from(PRIMES))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entries = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        return PrimeMatrix(draw(arrays(np.int64, (rows, cols), elements=entries)), p)
+    k = draw(st.integers(0, 3))
+    left = draw(arrays(np.int64, (rows, k), elements=entries)).astype(object)
+    right = draw(arrays(np.int64, (k, cols), elements=entries)).astype(object)
+    return PrimeMatrix(((left @ right) % p).astype(np.int64), p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_matrices())
+@example(PrimeMatrix.zeros(0, 5, 7))
+@example(PrimeMatrix.zeros(4, 0, 2))
+@example(PrimeMatrix(np.array([[0, 2, 1], [0, 4, 3], [1, 1, 1]]), 5))
+def test_elimination_matches_loop_oracle(m):
+    red, pivots = rref(m)
+    want_red, want_pivots = oracle_rref(m.a, m.p)
+    assert list(pivots) == want_pivots
+    assert np.array_equal(red.a, want_red)
+    assert rank(m) == oracle_rank(m.a, m.p)
+    assert np.array_equal(kernel_basis(m).a, oracle_kernel(m.a, m.p))
+
+
+def test_kernel_of_zero_row_matrix_is_identity():
+    for p in PRIMES:
+        for cols in (0, 1, 6):
+            ker = kernel_basis(PrimeMatrix.zeros(0, cols, p))
+            assert np.array_equal(ker.a, np.eye(cols, dtype=np.int64))
+
+
+def test_matrix_modulus_must_be_a_prime_below_2_31():
+    # modulo 4 the pivot 2 has no inverse: [[0, 1]] would be offered as a
+    # kernel vector of [[2, 1]], and 2*0 + 1*1 is not 0
+    with pytest.raises(ParamError):
+        kernel_basis(PrimeMatrix([[2, 1]], 4))
+    for bad in (0, 1, 4, 9, 561, 2047, 2**31, 2**61 - 1):
+        with pytest.raises(ParamError) as matrix_err:
+            PrimeMatrix.zeros(1, 1, bad)
+        with pytest.raises(ParamError) as ring_err:
+            RingCtx(1, bad)
+        assert str(matrix_err.value) == str(ring_err.value)
+    for good in PRIMES:
+        assert PrimeMatrix.zeros(1, 1, good).p == good
