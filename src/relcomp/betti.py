@@ -4,15 +4,18 @@ tables, together with closed-form builders for the minimal free
 resolutions of several families of Artinian algebras:
 
 * compressed Gorenstein algebras of even socle degree (binomial formula);
-* Gorenstein algebras of even socle degree squeezed inside a complete
-  intersection (exterior-power summands plus one solved multiplicity per
-  column, obtained from the Euler characteristic identity);
-* the analogous odd socle degree shape, which keeps genuinely free
-  parameters y_2, y_3, ... that only a concrete computation can pin down;
+* Gorenstein algebras squeezed inside a complete intersection, all from
+  one self-dual layout (``_gorenstein_shape``): in each column up to n/2,
+  exterior-power summands, the dual of the partner column's, and one
+  multiplicity solved from the Euler characteristic identity; the upper
+  columns are the duals of the lower ones.  It gives the exact shape for
+  even socle degree (``rc_gor_even``), the odd socle degree family
+  whose ghost pairs y_2, y_3, ... stay free parameters that only a
+  concrete computation can pin down (``rc_gor_odd_shape``), and, with
+  untruncated summands, the conditional odd-socle shape over a
+  codimension <= n-2 complete intersection (``mrc_resolution``);
 * general points on a smooth quadric surface and the odd-socle Gorenstein
   algebras squeezed by a quadric that are derived from them;
-* the conditional shape for odd socle degree over a codimension <= n-2
-  complete intersection;
 * almost complete intersections with even degree sum, via a dualized
   mapping cone over the even-socle Gorenstein shape.
 
@@ -25,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError, ParamError, ParityError, RangeError, SplitError
-from .series import HilbertSeries, froberg_prediction, rc_min_bound
+from .series import HilbertSeries, rational_series, rc_min_bound
 
 __all__ = [
     "FreeModule",
@@ -297,11 +300,55 @@ def compressed_gor_even(n, t):
     return ResolutionShape(mods)
 
 
-def _normalize_ci(ci_degrees, t):
-    degrees = sorted(ci_degrees)
-    kept = [d for d in degrees if d <= t]
-    dropped = [d for d in degrees if d > t]
-    return kept, dropped
+def _gorenstein_shape(n, s, degrees, truncate=True, ys=None):
+    """The self-dual Gorenstein layout of socle degree s over the complete
+    intersection degrees, and its solved multiplicities.
+
+    Column i <= n/2 is the exterior power K_i (kept up to twist t+i-1
+    when truncate is set, t = s // 2), the dual twist of K_{n-i} (kept up
+    to t+n-i-1), one unknown alpha_i at twist t+i, and each ghost pair
+    y_k at twist t+k in columns k-1 and k; the columns above n/2 are the
+    dual twists by s+n of those below.  When n = 2p and s is odd, the
+    middle column is its own dual, so alpha_p and y_p sit at both t+p
+    and t+p+1.  Each internal degree t+i holds exactly one unknown, so
+    alpha_i is read off the Euler characteristic identity against the
+    min-bound Hilbert function; the ghost pairs cancel in it.
+
+    Returns (shape, alphas) with alphas[i] for i = 1..n//2.
+    """
+    t, p, e = s // 2, n // 2, s + n
+    ghosts = [FreeModule() for _ in range(p + 1)]
+    for k, y in (ys or {}).items():
+        for i in (k - 1, k):
+            if i <= p:
+                ghosts[i].add(t + k, y)
+
+    def build(alphas):
+        mods = [FreeModule({0: 1})]
+        for i in range(1, p + 1):
+            low, high = koszul_module(degrees, i), koszul_module(degrees, n - i)
+            if truncate:
+                low, high = low.truncate_le(t + i - 1), high.truncate_le(t + n - i - 1)
+            extra = ghosts[i] + FreeModule({t + i: alphas[i]})
+            if 2 * i == n and s % 2:
+                extra = extra + extra.dual_twist(e)
+            mods.append(low + high.dual_twist(e) + extra)
+        mods.extend(mods[n - i].dual_twist(e) for i in range(p + 1, n + 1))
+        return ResolutionShape(mods)
+
+    target = _hf_shifted(rc_min_bound(degrees, n, s, 1), n, e)
+    known = build([0] * (p + 1)).euler_coeffs()
+    alphas = {}
+    for i in range(1, p + 1):
+        alphas[i] = (-1) ** i * (target[t + i] - known[t + i])
+        if alphas[i] < 0:
+            raise InfeasibleError("negative multiplicity at column %d" % i)
+    shape = build(alphas)
+    if shape.euler_coeffs() != target:
+        raise InfeasibleError("Euler identity cannot be satisfied by this layout")
+    if not shape.is_self_dual(e):
+        raise InfeasibleError("solved shape is not self dual")
+    return shape, alphas
 
 
 def rc_gor_even(n, t, ci_degrees=()):
@@ -309,37 +356,16 @@ def rc_gor_even(n, t, ci_degrees=()):
     relatively compressed with respect to a general complete intersection.
 
     Each module is a truncated exterior-power summand, its dual, and one
-    extra column R(-t-i)^{alpha_i}; the alpha_i are solved degree by
-    degree from the Euler characteristic identity against the min-bound
-    Hilbert function (each internal degree t+i holds exactly one unknown).
-    Degrees above t are dropped: such a form imposes no condition.
+    extra column R(-t-i)^{alpha_i} solved from the Euler characteristic
+    identity (see _gorenstein_shape).  Degrees above t are dropped: such
+    a form imposes no condition.
     """
     if n < 2 or t < 1:
         raise ParamError("need n >= 2 and t >= 1")
-    degrees, _ = _normalize_ci(ci_degrees, t)
+    degrees = sorted(d for d in ci_degrees if d <= t)
     if len(degrees) > n:
         raise ParamError("more CI degrees than variables")
-    hf = rc_min_bound(degrees, n, 2 * t, 1)
-    e = 2 * t + n
-    mods = [FreeModule({0: 1})]
-    for i in range(1, n):
-        m = koszul_module(degrees, i).truncate_le(t + i - 1)
-        m = m + koszul_module(degrees, n - i).truncate_le(t + n - i - 1).dual_twist(e)
-        mods.append(m)
-    mods.append(FreeModule({e: 1}))
-    target = _hf_shifted(hf, n, e)
-    known = ResolutionShape(mods).euler_coeffs()
-    for i in range(1, n):
-        a = (-1) ** i * (target[t + i] - known[t + i])
-        if a < 0:
-            raise InfeasibleError("negative multiplicity at column %d" % i)
-        mods[i].add(t + i, a)
-    shape = ResolutionShape(mods)
-    if shape.euler_coeffs() != target:
-        raise InfeasibleError("Euler identity cannot be satisfied")
-    if not shape.is_self_dual(e):
-        raise InfeasibleError("solved shape is not self dual")
-    return shape
+    return _gorenstein_shape(n, 2 * t, degrees)[0]
 
 
 @dataclass
@@ -365,82 +391,34 @@ class OddSocleShape:
                 raise ParamError("unknown parameter y_%d" % k)
             if ys[k] < 0:
                 raise ParamError("parameters must be nonnegative")
-        shape = _odd_socle_build(self.n, self.t, self.degrees, self.alphas, ys)
-        e = 2 * self.t + 1 + self.n
-        if not shape.check_euler(self.hf, self.n):
-            raise InfeasibleError("Euler identity fails after substitution")
-        if not shape.is_self_dual(e):
-            raise InfeasibleError("substituted shape is not self dual")
-        return shape
+        return _gorenstein_shape(self.n, 2 * self.t + 1, self.degrees, ys=ys)[0]
 
     def describe(self):
-        """Symbolic rendering, largest homological degree first."""
+        """Symbolic rendering, largest homological degree first.
+
+        A parameter is shown on every twist it raises, also where the
+        solved multiplicity is 0.
+        """
+        base = self.evaluate()
+        marks = {}
+        for k in self.y_names:
+            for i, m in enumerate(self.evaluate({k: 1}).modules):
+                for tw in m.twists:
+                    if m.twists[tw] > base.modules[i].twists[tw]:
+                        marks.setdefault((i, tw), []).append("y%d" % k)
         lines = []
-        probe = self.evaluate({k: 0 for k in self.y_names})
-        marks = _odd_socle_symbol_slots(self.n, self.t, self.y_names)
         for i in range(self.length(), -1, -1):
+            have = base.modules[i].twists
             parts = []
-            for tw, m in probe.modules[i].items():
-                label = str(m)
-                sym = marks.get((i, tw))
-                if sym:
-                    label = "%d+%s" % (m, sym) if m else sym
-                base = "R" if tw == 0 else "R(-%d)" % tw
-                parts.append(base if label == "1" else base + "^[%s]" % label)
+            for tw in sorted(set(have) | {tw for j, tw in marks if j == i}):
+                label = "+".join(([str(have[tw])] if have[tw] else []) + marks.get((i, tw), []))
+                name = "R" if tw == 0 else "R(-%d)" % tw
+                parts.append(name if label == "1" else name + "^[%s]" % label)
             lines.append("F_%d = %s" % (i, " + ".join(parts) if parts else "0"))
         return lines
 
     def length(self):
         return self.n
-
-
-def _odd_socle_build(n, t, degrees, alphas, ys):
-    e = 2 * t + 1 + n
-    p = n // 2
-    even = n % 2 == 0
-
-    def yv(k):
-        return ys.get(k, 0)
-
-    mods = [None] * (n + 1)
-    mods[0] = FreeModule({0: 1})
-    mods[n] = FreeModule({e: 1})
-    for i in range(1, p + 1):
-        m = koszul_module(degrees, i).truncate_le(t + i - 1)
-        m = m + koszul_module(degrees, n - i).truncate_le(t + n - i - 1).dual_twist(e)
-        if even and i == p:
-            m.add(t + p, alphas[p] + yv(p))
-            m.add(t + p + 1, alphas[p] + yv(p))
-        else:
-            m.add(t + i, alphas[i] + yv(i))
-            m.add(t + i + 1, yv(i + 1))
-        mods[i] = m
-    for i in range(p + 1, n):
-        mods[i] = mods[n - i].dual_twist(e)
-    return ResolutionShape(mods)
-
-
-def _odd_socle_symbol_slots(n, t, y_names):
-    """Positions (homological index, twist) where each free parameter adds."""
-    e = 2 * t + 1 + n
-    p = n // 2
-    even = n % 2 == 0
-    marks = {}
-
-    def put(i, tw, name):
-        key = (i, tw)
-        marks[key] = (marks[key] + "+" + name) if key in marks else name
-
-    for k in y_names:
-        name = "y%d" % k
-        if even and k == p:
-            slots = [(p - 1, t + p), (p, t + p), (p, t + p + 1)]
-        else:
-            slots = [(k - 1, t + k), (k, t + k)] if k <= p else [(p, t + p + 1)]
-        dual = [(n - i, e - tw) for i, tw in slots]
-        for i, tw in set(slots + dual):
-            put(i, tw, name)
-    return marks
 
 
 def rc_gor_odd_shape(n, t, ci_degrees=()):
@@ -452,27 +430,13 @@ def rc_gor_odd_shape(n, t, ci_degrees=()):
     """
     if n < 2 or t < 1:
         raise ParamError("need n >= 2 and t >= 1")
-    degrees, _ = _normalize_ci(ci_degrees, t)
+    degrees = sorted(d for d in ci_degrees if d <= t)
     if len(degrees) > n:
         raise ParamError("more CI degrees than variables")
-    hf = rc_min_bound(degrees, n, 2 * t + 1, 1)
-    e = 2 * t + 1 + n
-    p = n // 2
-    y_names = list(range(2, p + 1)) if n % 2 == 0 else list(range(2, p + 2))
-    zero = {i: 0 for i in range(1, p + 1)}
-    base = _odd_socle_build(n, t, degrees, zero, {})
-    known = base.euler_coeffs()
-    known += [0] * (e + 1 - len(known))
-    target = _hf_shifted(hf, n, e)
-    alphas = {}
-    for i in range(1, p + 1):
-        a = (-1) ** i * (target[t + i] - known[t + i])
-        if a < 0:
-            raise InfeasibleError("negative multiplicity at column %d" % i)
-        alphas[i] = a
-    shape = OddSocleShape(n=n, t=t, degrees=degrees, alphas=alphas, y_names=y_names, hf=hf)
-    shape.evaluate({})
-    return shape
+    _, alphas = _gorenstein_shape(n, 2 * t + 1, degrees)
+    return OddSocleShape(n=n, t=t, degrees=degrees, alphas=alphas,
+                         y_names=list(range(2, (n + 3) // 2)),
+                         hf=rc_min_bound(degrees, n, 2 * t + 1, 1))
 
 
 def quadric_points_resolution(N):
@@ -528,8 +492,8 @@ def rc_gor_odd_quadric(t):
 
 def mrc_resolution(n, ci_degrees, t):
     """Conditional odd-socle shape over a complete intersection of
-    codimension r <= n-2: full (untruncated) exterior-power summands, one
-    solved column per half position, filled in by duality.
+    codimension r <= n-2: the layout of _gorenstein_shape with full
+    (untruncated) exterior-power summands.
 
     The output is only as good as the minimal-resolution hypothesis for
     general points on the intersection; callers should treat it as a
@@ -540,40 +504,7 @@ def mrc_resolution(n, ci_degrees, t):
         raise ParamError("codimension must be at most n - 2")
     if n < 3 or t < 1:
         raise ParamError("need n >= 3 and t >= 1")
-    hf = rc_min_bound(degrees, n, 2 * t + 1, 1)
-    e = 2 * t + 1 + n
-    p = n // 2
-    even = n % 2 == 0
-    mods = [None] * (n + 1)
-    mods[0] = FreeModule({0: 1})
-    mods[n] = FreeModule({e: 1})
-    for i in range(1, p + 1):
-        mods[i] = koszul_module(degrees, i) + koszul_module(degrees, n - i).dual_twist(e)
-    target = _hf_shifted(hf, n, e)
-    # solve the single unknown per degree t+1 .. t+p against the knowns
-    probe = list(mods)
-    for i in range(p + 1, n):
-        probe[i] = probe[n - i].dual_twist(e)
-    known = ResolutionShape(probe).euler_coeffs()
-    known += [0] * (e + 1 - len(known))
-    alphas = {}
-    for i in range(1, p + 1):
-        a = (-1) ** i * (target[t + i] - known[t + i])
-        if a < 0:
-            raise InfeasibleError("negative multiplicity at column %d" % i)
-        alphas[i] = a
-    for i in range(1, p + 1):
-        if even and i == p:
-            mods[p].add(t + p, alphas[p])
-            mods[p].add(t + p + 1, alphas[p])
-        else:
-            mods[i].add(t + i, alphas[i])
-    for i in range(p + 1, n):
-        mods[i] = mods[n - i].dual_twist(e)
-    shape = ResolutionShape(mods)
-    if shape.euler_coeffs() != target:
-        raise InfeasibleError("Euler identity cannot be satisfied by this layout")
-    return shape
+    return _gorenstein_shape(n, 2 * t + 1, degrees, truncate=False)[0]
 
 
 def mapping_cone_link(res_ci, res_i, d=None, split="min-consistent", target_hf=None, n=None):
@@ -609,7 +540,7 @@ def mapping_cone_link(res_ci, res_i, d=None, split="min-consistent", target_hf=N
     fparts = {}
     for i in range(1, n + 1):
         kparts[i] = res_ci.modules[n - i].dual_twist(d) if 1 <= n - i else FreeModule()
-        fparts[i] = fmods[n - i + 1].dual_twist(d) if n - i + 1 <= n else FreeModule()
+        fparts[i] = fmods[n - i + 1].dual_twist(d)
     levels = []
     if split == "generator":
         levels = [1]
@@ -675,8 +606,6 @@ def _aci_hf(d_head, d_last, n):
     """Hilbert function of the residual of an even-sum almost complete
     intersection: pointwise positive part of the complete intersection HF
     minus its shift by the last degree."""
-    from .series import rational_series
-
     h = rational_series(d_head, n)
     top = sum(d_head) - n
     coeffs = [max(h[el] - h[el - d_last], 0) for el in range(top + 1)]

@@ -33,6 +33,7 @@ from .engine import (
     GradedIdeal,
     annihilator_ideal,
     betti_numbers,
+    ci_in,
     general_forms,
     hilbert_function,
     ideal_quotient,
@@ -135,8 +136,6 @@ def level_by_linkage(ring, ci_degrees, s, c, stream):
 def link_general(ring, ci_degrees, gen_degrees, stream):
     """Link an ideal of general forms by a general complete intersection
     inside it; returns (ci ideal, ideal, residual)."""
-    from .engine import ci_in
-
     ideal = general_forms(ring, gen_degrees, stream)
     cideal = ci_in(ideal, ci_degrees, stream)
     return cideal, ideal, ideal_quotient(cideal, ideal)
@@ -273,8 +272,6 @@ def _case_ex43_chain(checks, seed):
     stream = FormStream(ring, seed)
     first = general_forms(ring, (1, 1, 2, 2, 2), stream)
     _add(checks, "start hf", RECORDED, "1 2", hilbert_function(first).text())
-    from .engine import ci_in
-
     c1 = ci_in(first, (3, 3, 3, 3), stream)
     second = ideal_quotient(c1, first)
     _add(checks, "first link hf", RECORDED, "1 4 10 16 19 16 10 2",

@@ -206,14 +206,23 @@ def cmd_froberg(args):
     return 0
 
 
+# every prediction kind, with the option it cannot do without:
+# (attribute, flag)
+_PREDICT_NEEDS = {"gor-even": ("t", "-t"), "gor-odd": ("t", "-t"),
+                  "quadric-points": ("N", "-N"), "quadric-gor": ("t", "-t"),
+                  "aci": ("degrees", "-d"), "mrc": ("t", "-t")}
+
+
 def cmd_predict(args):
     kind = args.kind
+    attr, flag = _PREDICT_NEEDS[kind]
+    if getattr(args, attr) is None:
+        raise ParamError("predict %s needs %s" % (kind, flag))
     if kind == "gor-even":
         shape = rc_gor_even(args.n, args.t, args.ci or ())
     elif kind == "gor-odd":
-        shape = rc_gor_odd_shape(args.n, args.t, args.ci or ())
-        desc = shape.describe()
-        print("\n".join(desc) if isinstance(desc, list) else desc)
+        desc = rc_gor_odd_shape(args.n, args.t, args.ci or ()).describe()
+        _emit(args, {"shape": desc}, desc)
         return 0
     elif kind == "quadric-points":
         hf, shape = quadric_points_resolution(args.N)
@@ -222,10 +231,8 @@ def cmd_predict(args):
         shape = rc_gor_odd_quadric(args.t)
     elif kind == "aci":
         shape, _ = aci_resolution(args.n, args.degrees)
-    elif kind == "mrc":
-        shape = mrc_resolution(args.n, args.ci or (), args.t)
     else:
-        raise ParamError("unknown prediction kind %r" % kind)
+        shape = mrc_resolution(args.n, args.ci or (), args.t)
     table = shape.betti_table()
     _emit(args, {"shape": shape.text(), "betti": table.to_json()["betti"]},
           [shape.text(), "", table.render()])
@@ -303,12 +310,7 @@ def _ghost_summary(ideal, n, socle_twist=None):
 
 def _search_grid(family, max_n, max_degree, max_socle):
     """Yield (n, ci_degrees, socle_degree, type) tuples for a family."""
-    if family == "remark-4.10":
-        ns = [3]
-    elif family == "conj-4.8":
-        ns = [n for n in (3, 4) if n <= max_n]
-    else:
-        ns = [n for n in (3, 4) if n <= max_n]
+    ns = [3] if family == "remark-4.10" else [n for n in (3, 4) if n <= max_n]
     for n in ns:
         if family == "conj-4.8":
             degree_lists = [(d,) * n for d in range(2, max_degree + 1)]
@@ -439,8 +441,7 @@ def build_parser():
 
     p = sub.add_parser("predict", help="closed-form resolution shapes")
     common(p, seeded=False)
-    p.add_argument("kind", choices=["gor-even", "gor-odd", "quadric-points",
-                                    "quadric-gor", "aci", "mrc"])
+    p.add_argument("kind", choices=list(_PREDICT_NEEDS))
     p.add_argument("-d", "--degrees", type=_degrees, default=None)
     p.add_argument("-t", type=int, default=None, help="half socle degree")
     p.add_argument("-N", type=int, default=None, help="number of points")

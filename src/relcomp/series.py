@@ -181,14 +181,8 @@ def rc_upper_bound_liaison(ci_degrees, socle_degrees, n, cap=None):
     top = e_prime if cap is None else max(cap, e_prime)
     term1 = froberg_prediction(aux, n, top)
     term2 = froberg_prediction(aux + residual_degrees, n, top)
-    coeffs = []
-    for j in range(e_prime + 1):
-        v = term1[j] - term2[e_prime - j]
-        if v < 0:
-            raise NotLinkedError("negative value at degree %d" % j)
-        coeffs.append(v)
     return LiaisonBound(
-        series=HilbertSeries(coeffs, exact=True),
+        series=linkage_hf(term1, term2, e_prime),
         e_prime=e_prime,
         aux_degrees=aux,
         residual_degrees=residual_degrees,
@@ -203,7 +197,7 @@ def rc_min_bound(ci_degrees, n, s, c):
         raise ParamError("negative socle degree")
     if c < 1:
         raise ParamError("socle dimension must be >= 1")
-    base = rational_series(ci_degrees, n, s) if ci_degrees else rational_series([], n, s)
+    base = rational_series(ci_degrees, n, s)
     if any(base[t] < 0 for t in range(s + 1)):
         raise ParamError("degrees do not define a complete intersection quotient")
     coeffs = [min(base[t], c * base[s - t]) for t in range(s + 1)]

@@ -1,14 +1,18 @@
 """Free modules, resolution shapes, closed-form builders, mapping cones,
 and the repeated-twist classifier."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from relcomp.errors import ParamError, ParityError, SplitError
+from relcomp.errors import InfeasibleError, ParamError, ParityError, SplitError
 from relcomp.betti import (
     BettiTable,
     FreeModule,
     ResolutionShape,
+    _hf_shifted,
     aci_resolution,
     compressed_gor_even,
     ghost_classify,
@@ -21,7 +25,7 @@ from relcomp.betti import (
     rc_gor_odd_quadric,
     rc_gor_odd_shape,
 )
-from relcomp.series import rational_series
+from relcomp.series import rational_series, rc_min_bound
 
 
 def shape(*mods):
@@ -150,6 +154,222 @@ def test_rc_gor_odd_shape_known_case():
                  {8: 3, 9: 3, 10: 3, 11: 3},
                  {10: 1, 11: 3, 15: 3}, {19: 1})
     assert got == want
+    # y2 is shown on every twist it raises, also where the solved
+    # multiplicity is 0 (F_1 at 9, F_3 at 10)
+    assert odd.describe() == [
+        "F_4 = R(-19)",
+        "F_3 = R(-10)^[y2] + R(-11)^[3] + R(-15)^[3]",
+        "F_2 = R(-8)^[3] + R(-9)^[2+y2] + R(-10)^[2+y2] + R(-11)^[3]",
+        "F_1 = R(-4)^[3] + R(-8)^[3] + R(-9)^[y2]",
+        "F_0 = R",
+    ]
+
+
+def test_rc_gor_even_without_ci_is_compressed():
+    for n in range(2, 8):
+        for t in range(1, 9):
+            assert rc_gor_even(n, t, ()) == compressed_gor_even(n, t)
+
+
+# --- reference builders -----------------------------------------------------
+# Three separate builders, each with its own Euler solve; the library
+# builds all three from one self-dual layout, which must agree with them.
+
+
+def oracle_rc_gor_even(n, t, ci_degrees=()):
+    if n < 2 or t < 1:
+        raise ParamError("need n >= 2 and t >= 1")
+    degrees = sorted(d for d in ci_degrees if d <= t)
+    if len(degrees) > n:
+        raise ParamError("more CI degrees than variables")
+    hf = rc_min_bound(degrees, n, 2 * t, 1)
+    e = 2 * t + n
+    mods = [FreeModule({0: 1})]
+    for i in range(1, n):
+        m = koszul_module(degrees, i).truncate_le(t + i - 1)
+        m = m + koszul_module(degrees, n - i).truncate_le(t + n - i - 1).dual_twist(e)
+        mods.append(m)
+    mods.append(FreeModule({e: 1}))
+    target = _hf_shifted(hf, n, e)
+    known = ResolutionShape(mods).euler_coeffs()
+    for i in range(1, n):
+        a = (-1) ** i * (target[t + i] - known[t + i])
+        if a < 0:
+            raise InfeasibleError("negative multiplicity at column %d" % i)
+        mods[i].add(t + i, a)
+    sh = ResolutionShape(mods)
+    if sh.euler_coeffs() != target:
+        raise InfeasibleError("Euler identity cannot be satisfied")
+    if not sh.is_self_dual(e):
+        raise InfeasibleError("solved shape is not self dual")
+    return sh
+
+
+def _oracle_odd_build(n, t, degrees, alphas, ys):
+    e = 2 * t + 1 + n
+    p = n // 2
+    even = n % 2 == 0
+
+    def yv(k):
+        return ys.get(k, 0)
+
+    mods = [None] * (n + 1)
+    mods[0] = FreeModule({0: 1})
+    mods[n] = FreeModule({e: 1})
+    for i in range(1, p + 1):
+        m = koszul_module(degrees, i).truncate_le(t + i - 1)
+        m = m + koszul_module(degrees, n - i).truncate_le(t + n - i - 1).dual_twist(e)
+        if even and i == p:
+            m.add(t + p, alphas[p] + yv(p))
+            m.add(t + p + 1, alphas[p] + yv(p))
+        else:
+            m.add(t + i, alphas[i] + yv(i))
+            m.add(t + i + 1, yv(i + 1))
+        mods[i] = m
+    for i in range(p + 1, n):
+        mods[i] = mods[n - i].dual_twist(e)
+    return ResolutionShape(mods)
+
+
+def oracle_rc_gor_odd(n, t, ci_degrees=()):
+    """(alphas, y_names, evaluate) of the odd socle degree family."""
+    if n < 2 or t < 1:
+        raise ParamError("need n >= 2 and t >= 1")
+    degrees = sorted(d for d in ci_degrees if d <= t)
+    if len(degrees) > n:
+        raise ParamError("more CI degrees than variables")
+    hf = rc_min_bound(degrees, n, 2 * t + 1, 1)
+    e = 2 * t + 1 + n
+    p = n // 2
+    y_names = list(range(2, p + 1)) if n % 2 == 0 else list(range(2, p + 2))
+    zero = {i: 0 for i in range(1, p + 1)}
+    known = _oracle_odd_build(n, t, degrees, zero, {}).euler_coeffs()
+    known += [0] * (e + 1 - len(known))
+    target = _hf_shifted(hf, n, e)
+    alphas = {}
+    for i in range(1, p + 1):
+        a = (-1) ** i * (target[t + i] - known[t + i])
+        if a < 0:
+            raise InfeasibleError("negative multiplicity at column %d" % i)
+        alphas[i] = a
+
+    def evaluate(ys):
+        sh = _oracle_odd_build(n, t, degrees, alphas, ys)
+        if not sh.check_euler(hf, n):
+            raise InfeasibleError("Euler identity fails after substitution")
+        if not sh.is_self_dual(e):
+            raise InfeasibleError("substituted shape is not self dual")
+        return sh
+
+    evaluate({})
+    return alphas, y_names, evaluate
+
+
+def oracle_mrc_resolution(n, ci_degrees, t):
+    degrees = sorted(ci_degrees)
+    if len(degrees) > n - 2:
+        raise ParamError("codimension must be at most n - 2")
+    if n < 3 or t < 1:
+        raise ParamError("need n >= 3 and t >= 1")
+    hf = rc_min_bound(degrees, n, 2 * t + 1, 1)
+    e = 2 * t + 1 + n
+    p = n // 2
+    even = n % 2 == 0
+    mods = [None] * (n + 1)
+    mods[0] = FreeModule({0: 1})
+    mods[n] = FreeModule({e: 1})
+    for i in range(1, p + 1):
+        mods[i] = koszul_module(degrees, i) + koszul_module(degrees, n - i).dual_twist(e)
+    target = _hf_shifted(hf, n, e)
+    probe = list(mods)
+    for i in range(p + 1, n):
+        probe[i] = probe[n - i].dual_twist(e)
+    known = ResolutionShape(probe).euler_coeffs()
+    known += [0] * (e + 1 - len(known))
+    alphas = {}
+    for i in range(1, p + 1):
+        a = (-1) ** i * (target[t + i] - known[t + i])
+        if a < 0:
+            raise InfeasibleError("negative multiplicity at column %d" % i)
+        alphas[i] = a
+    for i in range(1, p + 1):
+        if even and i == p:
+            mods[p].add(t + p, alphas[p])
+            mods[p].add(t + p + 1, alphas[p])
+        else:
+            mods[i].add(t + i, alphas[i])
+    for i in range(p + 1, n):
+        mods[i] = mods[n - i].dual_twist(e)
+    sh = ResolutionShape(mods)
+    if sh.euler_coeffs() != target:
+        raise InfeasibleError("Euler identity cannot be satisfied by this layout")
+    return sh
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ParamError, InfeasibleError) as err:
+        return type(err)
+
+
+def _text(result):
+    return result if isinstance(result, type) else result.text()
+
+
+_TERM = re.compile(r"^R(?:\(-(\d+)\))?(?:\^\[([^\]]+)\])?$")
+
+
+def _substitute(line, ys):
+    """The free module a describe() line stands for at the parameters ys."""
+    body = line.split(" = ", 1)[1]
+    out = FreeModule()
+    for term in [] if body == "0" else body.split(" + "):
+        twist, label = _TERM.match(term).groups()
+        mult = sum(ys[int(x[1:])] if x.startswith("y") else int(x)
+                   for x in (label or "1").split("+"))
+        out.add(int(twist or 0), mult)
+    return out
+
+
+@st.composite
+def builder_inputs(draw):
+    n = draw(st.integers(2, 6))
+    t = draw(st.integers(1, 7))
+    ci = draw(st.lists(st.integers(1, 6), max_size=n))
+    return n, t, tuple(ci)
+
+
+@settings(max_examples=300, deadline=None)
+@given(builder_inputs())
+@example((4, 7, (4, 4, 4)))
+@example((4, 5, (3, 3, 4)))
+@example((5, 3, (2, 3)))
+@example((4, 5, (2,)))
+@example((6, 2, ()))
+def test_builders_match_reference(args):
+    n, t, ci = args
+    assert _text(_outcome(lambda: rc_gor_even(n, t, ci))) == \
+        _text(_outcome(lambda: oracle_rc_gor_even(n, t, ci)))
+    assert _text(_outcome(lambda: mrc_resolution(n, ci, t))) == \
+        _text(_outcome(lambda: oracle_mrc_resolution(n, ci, t)))
+    got = _outcome(lambda: rc_gor_odd_shape(n, t, ci))
+    want = _outcome(lambda: oracle_rc_gor_odd(n, t, ci))
+    if isinstance(want, type):
+        assert got is want
+        return
+    alphas, y_names, evaluate = want
+    assert (got.alphas, got.y_names) == (alphas, y_names)
+    choices = [{}, {k: 2 for k in y_names}] + [{k: 2} for k in y_names]
+    for ys in choices:
+        assert got.evaluate(ys).text() == evaluate(ys).text()
+    # describe() stands for evaluate() at any parameter values
+    ys = {k: 3 * k + 1 for k in y_names}
+    lines = got.describe()
+    modules = evaluate(ys).modules
+    assert len(lines) == len(modules)
+    for line, module in zip(lines, reversed(modules)):
+        assert _substitute(line, ys) == module
 
 
 def test_quadric_points_shapes():

@@ -93,6 +93,30 @@ def test_predict_quadric_points(capsys):
     assert "0 -> R(-8)^5 -> R(-6)^5 + R(-7)^6 -> R(-2) + R(-5)^6 -> R" in out
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["gor-even", "-n", "4", "--ci", "3,3,4"], "-t"),
+    (["gor-odd", "-n", "4"], "-t"),
+    (["mrc", "-n", "4", "--ci", "2"], "-t"),
+    (["quadric-gor"], "-t"),
+    (["quadric-points"], "-N"),
+    (["aci", "-n", "5"], "-d"),
+])
+def test_predict_refuses_missing_parameter(capsys, argv, flag):
+    assert main(["predict"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: predict %s needs %s\n" % (argv[0], flag)
+
+
+def test_predict_gor_odd_formats(capsys):
+    argv = ["predict", "gor-odd", "-n", "4", "-t", "7", "--ci", "4,4,4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "F_4 = R(-19)" and lines[-1] == "F_0 = R"
+    assert main(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"shape": lines}
+
+
 def test_resolve_refuses_composite_modulus(capsys):
     assert main(["resolve", "general-forms(2,2,2)", "-n", "3", "-p", "4"]) == 2
     captured = capsys.readouterr()
