@@ -507,48 +507,32 @@ def mrc_resolution(n, ci_degrees, t):
     return _gorenstein_shape(n, 2 * t + 1, degrees, truncate=False)[0]
 
 
-def mapping_cone_link(res_ci, res_i, d=None, split="min-consistent", target_hf=None, n=None):
-    """Shape of the residual of a link, by dualizing the cone of a
-    comparison map from the Koszul shape of the complete intersection to
-    the shape of the linked ideal.
+def mapping_cone_link(ci_degrees, res_i, target_hf=None):
+    """Shape of the residual of a link by a complete intersection of the
+    given degrees, by dualizing the cone of a comparison map from the
+    Koszul shape of the complete intersection to the shape res_i of the
+    linked ideal.
 
     The raw cone puts, in homological position i, the dual-twist of
     K_{n-i} together with the dual-twist of F_{n-i+1} (twisting by the
-    degree sum d of the CI).  Splitting policies:
-
-    * "none": the raw cone;
-    * "generator": cancel only the duplicated generators, i.e. the
-      common twists between the dualized K_1 part and the dualized F_1
-      part (adjacent modules);
-    * "min-consistent": the same cancellation at every level j = 1..n-1
-      between the dualized K_j part and the dualized F_j part.
+    degree sum d of the CI).  At every level j = 1..n-1 the twists common
+    to the dualized K_j part and the dualized F_j part cancel.
 
     Cancellation never changes the Euler characteristic, so when a
     target Hilbert function is supplied it is checked as a consistency
     guard rather than used to steer.
     """
-    if isinstance(res_ci, (list, tuple)):
-        res_ci = koszul_shape(res_ci)
-    if n is None:
-        n = res_ci.length
-    if d is None:
-        d = max(res_ci.modules[n].twists)
+    n, d = len(ci_degrees), sum(ci_degrees)
+    res_ci = koszul_shape(ci_degrees)
     if res_i.length > n:
         raise ParamError("linked shape is longer than the Koszul shape")
     fmods = list(res_i.modules) + [FreeModule()] * (n + 1 - len(res_i.modules))
     kparts = {}
     fparts = {}
     for i in range(1, n + 1):
-        kparts[i] = res_ci.modules[n - i].dual_twist(d) if 1 <= n - i else FreeModule()
+        kparts[i] = res_ci.modules[n - i].dual_twist(d) if i < n else FreeModule()
         fparts[i] = fmods[n - i + 1].dual_twist(d)
-    levels = []
-    if split == "generator":
-        levels = [1]
-    elif split == "min-consistent":
-        levels = list(range(1, n))
-    elif split != "none":
-        raise ParamError("unknown splitting policy %r" % split)
-    for j in levels:
+    for j in range(1, n):
         # dualized K_j sits in position n-j, dualized F_j one step higher
         lo, hi = kparts[n - j], fparts[n - j + 1]
         common = lo.twists & hi.twists
@@ -595,10 +579,7 @@ def aci_resolution(n, degrees):
     t = c // 2
     small = [d for d in d_head if d <= t]
     gor = rc_gor_even(n, t, small)
-    d = sum(d_head)
-    hf = _aci_hf(d_head, d_last, n)
-    shape = mapping_cone_link(koszul_shape(d_head), gor, d, split="min-consistent",
-                              target_hf=hf, n=n)
+    shape = mapping_cone_link(d_head, gor, target_hf=_aci_hf(d_head, d_last, n))
     return shape, gor
 
 
@@ -656,7 +637,7 @@ class GhostReport:
         return out
 
 
-def ghost_classify(table, gen_degrees=None, socle_twist=None, n=None):
+def ghost_classify(table, socle_twist=None, n=None):
     """Classify repeated twists in consecutive columns of a Betti table.
 
     A pair (i, j) with entries in both column i and column i+1 is KOSZUL
@@ -668,8 +649,7 @@ def ghost_classify(table, gen_degrees=None, socle_twist=None, n=None):
     """
     if isinstance(table, ResolutionShape):
         table = table.betti_table()
-    if gen_degrees is None:
-        gen_degrees = table.generator_degrees()
+    gen_degrees = table.generator_degrees()
     if n is None:
         n = table.max_index()
     kmax = min(len(gen_degrees), n + 1)

@@ -23,7 +23,6 @@ from .betti import (
     ResolutionShape,
     aci_resolution,
     ghost_classify,
-    koszul_shape,
     mapping_cone_link,
     quadric_points_resolution,
     rc_gor_even,
@@ -226,13 +225,12 @@ def _case_ci444_level_s7(checks, seed):
 def _case_ex26_betti(checks, seed):
     # three general points, linked twice; pure mapping-cone arithmetic
     points = _shape({1: 1, 2: 3}, {3: 5}, {4: 2})
-    j_shape = mapping_cone_link([2, 2, 4], points, split="min-consistent")
+    j_shape = mapping_cone_link([2, 2, 4], points)
     _add(checks, "first residual shape", RECORDED,
          _shape({2: 2, 4: 3}, {4: 1, 5: 5}, {6: 1, 7: 1}).text(),
          j_shape.text())
     a_hf = [1, 3, 6, 10, 12, 11, 6, 2]
-    a_shape = mapping_cone_link([4, 4, 4], j_shape, split="min-consistent",
-                                target_hf=a_hf)
+    a_shape = mapping_cone_link([4, 4, 4], j_shape, target_hf=a_hf)
     _add(checks, "second residual shape", RECORDED,
          _shape({4: 3, 5: 1, 6: 1}, {7: 5, 8: 1}, {10: 2}).text(),
          a_shape.text())
@@ -291,8 +289,7 @@ def _case_ex43_chain(checks, seed):
     })
     _add(checks, "final betti table", RECORDED, want.to_json(), table.to_json())
     cone = mapping_cone_link([3, 3, 7, 7], betti_numbers(second).to_shape(),
-                             split="min-consistent",
-                             target_hf=list(hilbert_function(third)), n=4)
+                             target_hf=list(hilbert_function(third)))
     _add(checks, "mapping cone agrees", DERIVED,
          table.to_json(), cone.betti_table().to_json())
     entry = ghost_classify(table, n=4).find(1, 10)

@@ -67,10 +67,8 @@ class _Node:
         self.args = args
 
     def text(self):
-        parts = []
-        for a in self.args:
-            parts.append(str(a) if isinstance(a, int) else a.text())
-        return "%s(%s)" % (self.name, ",".join(parts))
+        return "%s(%s)" % (self.name, ",".join(
+            str(a) if isinstance(a, int) else a.text() for a in self.args))
 
 
 def _tokenize(text):
@@ -206,36 +204,27 @@ def cmd_froberg(args):
     return 0
 
 
-# every prediction kind, with the option it cannot do without:
-# (attribute, flag)
-_PREDICT_NEEDS = {"gor-even": ("t", "-t"), "gor-odd": ("t", "-t"),
-                  "quadric-points": ("N", "-N"), "quadric-gor": ("t", "-t"),
-                  "aci": ("degrees", "-d"), "mrc": ("t", "-t")}
-
-
 def cmd_predict(args):
     kind = args.kind
-    attr, flag = _PREDICT_NEEDS[kind]
-    if getattr(args, attr) is None:
-        raise ParamError("predict %s needs %s" % (kind, flag))
+    head, extra = [], {}
     if kind == "gor-even":
-        shape = rc_gor_even(args.n, args.t, args.ci or ())
+        shape = rc_gor_even(args.n, args.t, args.ci)
     elif kind == "gor-odd":
-        desc = rc_gor_odd_shape(args.n, args.t, args.ci or ()).describe()
+        desc = rc_gor_odd_shape(args.n, args.t, args.ci).describe()
         _emit(args, {"shape": desc}, desc)
         return 0
     elif kind == "quadric-points":
         hf, shape = quadric_points_resolution(args.N)
-        print("h-vector: %s" % hf.text())
+        head, extra = ["h-vector: %s" % hf.text()], {"hvec": hf.trimmed()}
     elif kind == "quadric-gor":
         shape = rc_gor_odd_quadric(args.t)
     elif kind == "aci":
         shape, _ = aci_resolution(args.n, args.degrees)
     else:
-        shape = mrc_resolution(args.n, args.ci or (), args.t)
+        shape = mrc_resolution(args.n, args.ci, args.t)
     table = shape.betti_table()
-    _emit(args, {"shape": shape.text(), "betti": table.to_json()["betti"]},
-          [shape.text(), "", table.render()])
+    _emit(args, dict(extra, shape=shape.text(), betti=table.to_json()["betti"]),
+          head + [shape.text(), "", table.render()])
     return 0
 
 
@@ -278,9 +267,11 @@ def cmd_resolve(args):
 
 
 def cmd_reproduce(args):
+    if args.all == (args.case is not None):
+        raise ParamError("give a case id or --all, not both")
+    if args.verbose and args.format == "json":
+        raise ParamError("--verbose applies to text output only")
     ids = case_mod.case_ids() if args.all else [args.case]
-    if not args.all and args.case is None:
-        raise ParamError("give a case id or --all")
     failures = 0
     for cid in ids:
         result = case_mod.run_case(cid, seed=args.seed)
@@ -289,6 +280,7 @@ def cmd_reproduce(args):
         if args.format == "json":
             print(json.dumps({
                 "case": cid,
+                "seed": args.seed,
                 "passed": result.passed,
                 "checks": [[c.name, c.tag, c.ok] for c in result.checks],
             }, sort_keys=True))
@@ -301,17 +293,9 @@ def cmd_reproduce(args):
 # --- search families -------------------------------------------------------
 
 
-def _ghost_summary(ideal, n, socle_twist=None):
-    table = betti_numbers(ideal)
-    report = ghost_classify(table, socle_twist=socle_twist, n=n)
-    non_koszul = [e for e in report.entries if e.cls == "NON_KOSZUL"]
-    return table, report, non_koszul
-
-
 def _search_grid(family, max_n, max_degree, max_socle):
     """Yield (n, ci_degrees, socle_degree, type) tuples for a family."""
-    ns = [3] if family == "remark-4.10" else [n for n in (3, 4) if n <= max_n]
-    for n in ns:
+    for n in [n for n in (3, 4) if n <= max_n]:
         if family == "conj-4.8":
             degree_lists = [(d,) * n for d in range(2, max_degree + 1)]
         else:
@@ -347,9 +331,10 @@ def _run_search_instance(family, n, ci, s, c, p, seed):
         if not prof.is_level or prof.socle_degree != s or prof.cm_type != c:
             return "SKIPPED", None
         twist = s + n if prof.is_gorenstein else None
-        table, report, non_koszul = _ghost_summary(res, n, twist)
+        report = ghost_classify(betti_numbers(res), socle_twist=twist, n=n)
     except RelcompError:
         return "SKIPPED", None
+    non_koszul = [e for e in report.entries if e.cls == "NON_KOSZUL"]
     if family == "remark-4.10":
         return ("CONFIRMED" if not non_koszul else "DISCOVERY"), res
     if family == "conj-4.8":
@@ -375,7 +360,8 @@ def cmd_search(args):
     budget = args.limit
     complete = True
     idx = 0
-    for n, ci, s, c in _search_grid(args.family, args.max_n,
+    # remark-4.10 does not read --max-n: it is fixed at n = 3
+    for n, ci, s, c in _search_grid(args.family, getattr(args, "max_n", 3),
                                     args.max_degree, args.max_socle):
         if budget <= 0:
             complete = False
@@ -416,6 +402,61 @@ def _degrees(text):
         raise argparse.ArgumentTypeError("expected a comma list of integers")
 
 
+def _nonneg(text):
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError("expected a non-negative integer")
+    return int(text)
+
+
+# One definition per option: (option strings, default, argparse keywords).
+# Parsers give every option a SUPPRESS default, so the parsed namespace
+# holds exactly the options that were typed; _settle() fills in the rest.
+_FLAGS = {
+    "n": (["-n"], 3, dict(type=int, help="number of variables")),
+    "p": (["-p"], 32003, dict(type=int, help="a prime below 2**31")),
+    "seed": (["--seed"], 1, dict(type=_nonneg)),
+    "cap": (["--cap"], None,
+            dict(type=_nonneg, help="degree window for non-terminating data")),
+    "degrees": (["-d", "--degrees"], None, dict(type=_degrees)),
+    "t": (["-t"], None, dict(type=int, help="half socle degree")),
+    "N": (["-N"], None, dict(type=int, help="number of points")),
+    "ci": (["--ci"], (), dict(type=_degrees, help="complete intersection degrees")),
+    "witness": (["--witness"], None, dict(help="write a replayable witness JSON here")),
+    "all": (["--all"], False, dict(action="store_true")),
+    "verbose": (["--verbose"], False,
+                dict(action="store_true", help="print per-check lines for passing cases too")),
+    "max_n": (["--max-n"], 4, dict(type=_nonneg)),
+    "max_degree": (["--max-degree"], 8, dict(type=_nonneg)),
+    "max_socle": (["--max-socle"], 14, dict(type=_nonneg)),
+    "limit": (["--limit"], 50, dict(type=_nonneg, help="instance budget")),
+    "out": (["--out"], "witnesses", dict(help="directory for witness files")),
+}
+
+_GRID = ("p", "seed", "max_degree", "max_socle", "limit", "out")
+
+# subcommand: (handler, help, positional, --format writers, the options read
+# by each kind, or under None by a subcommand without kinds); "!" marks an
+# option that cannot be left out
+_COMMANDS = {
+    "froberg": (cmd_froberg, "Hilbert series of general forms", None,
+                ("text", "json"), {None: ("degrees!", "n", "cap")}),
+    "predict": (cmd_predict, "closed-form resolution shapes", "kind",
+                ("text", "json"),
+                {"gor-even": ("t!", "n", "ci"), "gor-odd": ("t!", "n", "ci"),
+                 "quadric-points": ("N!",), "quadric-gor": ("t!",),
+                 "aci": ("degrees!", "n"), "mrc": ("t!", "n", "ci")}),
+    "resolve": (cmd_resolve, "run the engine on a recipe", "recipe",
+                ("text", "json"), {None: ("n", "p", "seed", "cap", "witness")}),
+    "reproduce": (cmd_reproduce, "re-run pinned worked cases", "case",
+                  ("text", "json"), {None: ("all", "verbose", "seed")}),
+    # remark-4.10 is fixed at n = 3
+    "search": (cmd_search, "sweep a grid for an open predicate", "family",
+               ("csv", "json"),
+               {"conj-4.7": _GRID + ("max_n",), "conj-4.8": _GRID + ("max_n",),
+                "remark-4.10": _GRID}),
+}
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="relcomp",
@@ -423,67 +464,43 @@ def build_parser():
                     " Artinian algebras squeezed in a complete intersection",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, seeded=True):
-        p.add_argument("-n", type=int, default=3, help="number of variables")
-        p.add_argument("-p", type=int, default=32003, help="field size")
-        if seeded:
-            p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--format", choices=["text", "json", "csv"],
-                       default="text")
-
-    p = sub.add_parser("froberg", help="Hilbert series of general forms")
-    common(p, seeded=False)
-    p.add_argument("--cap", type=int, default=None,
-                   help="degree window for non-terminating data")
-    p.add_argument("-d", "--degrees", type=_degrees, required=True)
-    p.set_defaults(func=cmd_froberg)
-
-    p = sub.add_parser("predict", help="closed-form resolution shapes")
-    common(p, seeded=False)
-    p.add_argument("kind", choices=list(_PREDICT_NEEDS))
-    p.add_argument("-d", "--degrees", type=_degrees, default=None)
-    p.add_argument("-t", type=int, default=None, help="half socle degree")
-    p.add_argument("-N", type=int, default=None, help="number of points")
-    p.add_argument("--ci", type=_degrees, default=None,
-                   help="complete intersection degrees")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("resolve", help="run the engine on a recipe")
-    common(p)
-    p.add_argument("--cap", type=int, default=None,
-                   help="degree window for non-terminating data")
-    p.add_argument("recipe")
-    p.add_argument("--witness", default=None,
-                   help="write a replayable witness JSON here")
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("reproduce", help="re-run pinned worked cases")
-    common(p)
-    p.add_argument("case", nargs="?", default=None)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--verbose", action="store_true",
-                   help="print per-check lines for passing cases too")
-    p.set_defaults(func=cmd_reproduce)
-
-    p = sub.add_parser("search", help="sweep a grid for an open predicate")
-    common(p)
-    p.add_argument("family", choices=["conj-4.7", "conj-4.8", "remark-4.10"])
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--max-degree", type=int, default=8)
-    p.add_argument("--max-socle", type=int, default=14)
-    p.add_argument("--limit", type=int, default=50,
-                   help="instance budget")
-    p.add_argument("--out", default="witnesses",
-                   help="directory for witness files")
-    p.set_defaults(func=cmd_search)
+    for command, (func, help_, positional, formats, kinds) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
+        if None not in kinds:
+            p.add_argument(positional, choices=list(kinds))
+        elif positional == "case":
+            p.add_argument("case", nargs="?")
+        elif positional:
+            p.add_argument(positional)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        for name in dict.fromkeys(r.rstrip("!") for k in kinds.values() for r in k):
+            flags, _, kwargs = _FLAGS[name]
+            p.add_argument(*flags, dest=name, default=argparse.SUPPRESS, **kwargs)
+        p.set_defaults(func=func)
     return top
 
 
+def _settle(args):
+    """Refuse an option that the chosen kind does not read, demand the one
+    it cannot do without, and fill in the defaults of the rest."""
+    _, _, positional, _, kinds = _COMMANDS[args.command]
+    kind = None if None in kinds else getattr(args, positional)
+    label = args.command if kind is None else "%s %s" % (args.command, kind)
+    names = [r.rstrip("!") for r in kinds[kind]]
+    unread = [_FLAGS[k][0][0] for k in vars(args) if k in _FLAGS and k not in names]
+    if unread:
+        raise ParamError("%s does not read %s" % (label, ", ".join(unread)))
+    for r, k in zip(kinds[kind], names):
+        if not hasattr(args, k):
+            if r.endswith("!"):
+                raise ParamError("%s needs %s" % (label, _FLAGS[k][0][0]))
+            setattr(args, k, _FLAGS[k][1])
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        _settle(args)
         return args.func(args)
     except RelcompError as err:
         print("error: %s" % err, file=sys.stderr)

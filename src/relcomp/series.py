@@ -159,7 +159,7 @@ class LiaisonBound:
     residual_series: HilbertSeries = field(repr=False)
 
 
-def rc_upper_bound_liaison(ci_degrees, socle_degrees, n, cap=None):
+def rc_upper_bound_liaison(ci_degrees, socle_degrees, n):
     """Hilbert function bound for a quotient of R/(CI) with given socle.
 
     The algebra is linked, inside the CI enlarged to an Artinian one by
@@ -178,9 +178,8 @@ def rc_upper_bound_liaison(ci_degrees, socle_degrees, n, cap=None):
     e_prime = (n - c) * s + sum(ci_degrees) - c
     aux = ci_degrees + [s + 1] * (n - c)
     residual_degrees = [e_prime - si for si in socle_degrees]
-    top = e_prime if cap is None else max(cap, e_prime)
-    term1 = froberg_prediction(aux, n, top)
-    term2 = froberg_prediction(aux + residual_degrees, n, top)
+    term1 = froberg_prediction(aux, n, e_prime)
+    term2 = froberg_prediction(aux + residual_degrees, n, e_prime)
     return LiaisonBound(
         series=linkage_hf(term1, term2, e_prime),
         e_prime=e_prime,

@@ -420,33 +420,101 @@ def test_aci_rejects_complete_intersection_range():
 
 def test_mapping_cone_double_link_of_points():
     points = shape({1: 1, 2: 3}, {3: 5}, {4: 2})
-    j1 = mapping_cone_link([2, 2, 4], points, split="min-consistent")
+    j1 = mapping_cone_link([2, 2, 4], points)
     assert j1 == shape({2: 2, 4: 3}, {4: 1, 5: 5}, {6: 1, 7: 1})
-    a = mapping_cone_link([4, 4, 4], j1, split="min-consistent",
-                          target_hf=[1, 3, 6, 10, 12, 11, 6, 2])
+    a = mapping_cone_link([4, 4, 4], j1, target_hf=[1, 3, 6, 10, 12, 11, 6, 2])
     assert a == shape({4: 3, 5: 1, 6: 1}, {7: 5, 8: 1}, {10: 2})
-
-
-def test_mapping_cone_policies_are_nested():
-    points = shape({1: 1, 2: 3}, {3: 5}, {4: 2})
-    raw = mapping_cone_link([2, 2, 4], points, split="none")
-    gen = mapping_cone_link([2, 2, 4], points, split="generator")
-    minc = mapping_cone_link([2, 2, 4], points, split="min-consistent")
-    def total(s):
-        return sum(m.rank for m in s.modules)
-    assert total(raw) >= total(gen) >= total(minc)
-    # cancellation preserves the Euler characteristic
-    e_raw = raw.euler_coeffs()
-    top = len(e_raw)
-    assert raw.euler_coeffs() == minc.euler_coeffs()[:top] or \
-        raw.euler_coeffs() == minc.euler_coeffs()
 
 
 def test_mapping_cone_split_guard():
     points = shape({1: 1, 2: 3}, {3: 5}, {4: 2})
     with pytest.raises(SplitError):
-        mapping_cone_link([4, 4, 4], points, split="min-consistent",
-                          target_hf=[1, 2, 3])
+        mapping_cone_link([4, 4, 4], points, target_hf=[1, 2, 3])
+
+
+def oracle_mapping_cone_link(res_ci, res_i, d=None, split="min-consistent",
+                             target_hf=None, n=None):
+    # the library's cone before its unused policies and parameters went
+    if isinstance(res_ci, (list, tuple)):
+        res_ci = koszul_shape(res_ci)
+    if n is None:
+        n = res_ci.length
+    if d is None:
+        d = max(res_ci.modules[n].twists)
+    if res_i.length > n:
+        raise ParamError("linked shape is longer than the Koszul shape")
+    fmods = list(res_i.modules) + [FreeModule()] * (n + 1 - len(res_i.modules))
+    kparts = {}
+    fparts = {}
+    for i in range(1, n + 1):
+        kparts[i] = res_ci.modules[n - i].dual_twist(d) if 1 <= n - i else FreeModule()
+        fparts[i] = fmods[n - i + 1].dual_twist(d)
+    levels = []
+    if split == "generator":
+        levels = [1]
+    elif split == "min-consistent":
+        levels = list(range(1, n))
+    elif split != "none":
+        raise ParamError("unknown splitting policy %r" % split)
+    for j in levels:
+        lo, hi = kparts[n - j], fparts[n - j + 1]
+        common = lo.twists & hi.twists
+        for t, m in common.items():
+            lo.twists[t] -= m
+            hi.twists[t] -= m
+        lo.twists = +lo.twists
+        hi.twists = +hi.twists
+    mods = [FreeModule({0: 1})]
+    for i in range(1, n + 1):
+        mods.append(kparts[i] + fparts[i])
+    while len(mods) > 1 and mods[-1].is_zero():
+        mods.pop()
+    shape = ResolutionShape(mods)
+    if target_hf is not None and not shape.check_euler(target_hf, n):
+        raise SplitError("cone shape is inconsistent with the requested Hilbert function")
+    return shape
+
+
+def _hf_of(sh, n):
+    """A Hilbert function that sh passes check_euler against: its Euler
+    coefficients times (1 - z)^-n, cut at the top twist."""
+    hf = sh.euler_coeffs()
+    for _ in range(n):
+        hf = list(np.cumsum(hf))
+    return [int(h) for h in hf]
+
+
+@st.composite
+def cone_inputs(draw):
+    ci = draw(st.lists(st.integers(1, 7), min_size=1, max_size=5))
+    # twists below the degree sum, so that every dual twist stays >= 0
+    twists = st.dictionaries(st.integers(1, max(sum(ci) - 1, 1)), st.integers(1, 4),
+                             max_size=3)
+    res_i = ResolutionShape([FreeModule({0: 1})] + [
+        FreeModule(draw(twists))
+        for _ in range(draw(st.integers(0, len(ci) + 1)))])
+    target = draw(st.sampled_from(["none", "consistent", "random"]))
+    return ci, res_i, target, draw(st.lists(st.integers(0, 30), max_size=12))
+
+
+def _cone_outcome(build):
+    try:
+        return build().text()
+    except (ParamError, SplitError) as err:
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cone_inputs())
+def test_mapping_cone_matches_reference(args):
+    ci, res_i, target, noise = args
+    hf = None if target == "none" else noise
+    if target == "consistent" and res_i.length <= len(ci):
+        hf = _hf_of(oracle_mapping_cone_link(ci, res_i), len(ci))
+    want = _cone_outcome(lambda: oracle_mapping_cone_link(
+        koszul_shape(ci), res_i, sum(ci), split="min-consistent",
+        target_hf=hf, n=len(ci)))
+    assert _cone_outcome(lambda: mapping_cone_link(ci, res_i, target_hf=hf)) == want
 
 
 # --- repeated-twist classifier --------------------------------------------

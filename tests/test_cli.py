@@ -1,6 +1,7 @@
 """Command line surface: recipes, subcommands, output formats."""
 
 import json
+import re
 
 import pytest
 
@@ -91,6 +92,10 @@ def test_predict_quadric_points(capsys):
     out = capsys.readouterr().out
     assert "h-vector: 1 3 5 7 9 5" in out
     assert "0 -> R(-8)^5 -> R(-6)^5 + R(-7)^6 -> R(-2) + R(-5)^6 -> R" in out
+    assert main(["predict", "quadric-points", "-N", "30", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["hvec"] == [1, 3, 5, 7, 9, 5]
+    assert data["shape"] == "0 -> R(-8)^5 -> R(-6)^5 + R(-7)^6 -> R(-2) + R(-5)^6 -> R"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -187,16 +192,100 @@ def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, recipe, n,
     assert len(built) == models
 
 
+# --- every option is read ----------------------------------------------------
+# For every subcommand, predict kind and search family: a quick default run
+# and the options it reads.  Each read option, at the value below, changes
+# stdout (or creates the file it names) or is refused with exit 2; every
+# other option of the CLI is refused with exit 2.
+
+VALUES = {"-n": "2", "-p": "101", "--seed": "2", "--cap": "1", "-d": "3,3,3",
+          "-t": "4", "-N": "20", "--ci": "2", "--witness": "w.json",
+          "--all": None, "--verbose": None, "--max-n": "2", "--max-degree": "1",
+          "--max-socle": "1", "--limit": "0", "--out": "out"}
+GRID = "-p --seed --max-degree --max-socle --limit --out"
+SEARCH = ["--max-degree", "2", "--limit", "1"]
+RUNS = {
+    "froberg": (["froberg", "-d", "2,2,2"], "-n -d --cap"),
+    "predict-gor-even": (["predict", "gor-even", "-t", "3"], "-n -t --ci"),
+    "predict-gor-odd": (["predict", "gor-odd", "-t", "3"], "-n -t --ci"),
+    "predict-quadric-points": (["predict", "quadric-points", "-N", "30"], "-N"),
+    "predict-quadric-gor": (["predict", "quadric-gor", "-t", "3"], "-t"),
+    "predict-aci": (["predict", "aci", "-d", "2,3,3,3"], "-n -d"),
+    "predict-mrc": (["predict", "mrc", "-t", "2"], "-n -t --ci"),
+    "resolve": (["resolve", "ci(2,2,2)", "--format", "json"],
+                "-n -p --seed --cap --witness"),
+    "reproduce": (["reproduce", "ex26-betti", "--format", "json"],
+                  "--all --verbose --seed"),
+    "search-conj-4.7": (["search", "conj-4.7"] + SEARCH, GRID + " --max-n"),
+    "search-conj-4.8": (["search", "conj-4.8"] + SEARCH, GRID + " --max-n"),
+    "search-remark-4.10": (["search", "remark-4.10"] + SEARCH, GRID),
+}
+
+
+def _run(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr().out
+    formats = [v for k, v in zip(argv, argv[1:]) if k == "--format"]
+    if code == 0 and formats[-1:] == ["json"]:
+        # reproduce writes JSON Lines, every other subcommand one document
+        for doc in out.splitlines() if argv[0] == "reproduce" else [out]:
+            json.loads(doc)
+    return code, out
+
+
+@pytest.mark.parametrize("run, flag", [(r, f) for r in RUNS
+                                       for f in ["--format"] + list(VALUES)],
+                         ids=lambda x: x)
+def test_every_flag_is_read(tmp_path, monkeypatch, capsys, run, flag):
+    monkeypatch.chdir(tmp_path)  # search's default witness directory
+    base, reads = RUNS[run]
+    if flag == "--format":
+        value = "text" if "--format" in base else "json"
+    else:
+        value = VALUES[flag]
+    argv = base + [flag] + ([] if value is None else [value])
+    if flag != "--format" and flag not in reads.split():
+        assert _run(capsys, argv) == (2, "")
+        return
+    code, out = _run(capsys, argv)
+    if flag in ("--witness", "--out"):
+        assert code == 0 and (tmp_path / value).exists()
+    else:
+        assert code == 2 or out != _run(capsys, base)[1]
+
+
+@pytest.mark.parametrize("command", ["froberg", "predict", "resolve",
+                                     "reproduce", "search"])
+def test_help_lists_only_read_flags(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert ("{csv,json}" if command == "search" else "{text,json}") in out
+    listed = set(re.findall(r"^  (-[-\w]+)", out, re.M))
+    want = {"-h", "--format"}
+    for run, (_, reads) in RUNS.items():
+        if run.split("-")[0] == command:
+            want.update(reads.split())
+    assert listed == want
+
+
 @pytest.mark.parametrize("argv", [
-    ["predict", "aci", "-d", "2,2,3"],
-    ["reproduce", "froberg-rows"],
-    ["search", "conj-4.8", "--limit", "1"],
+    ["froberg", "-n", "3", "-d", "2,2,2", "-p", "4"],
+    ["reproduce", "froberg-rows", "-n", "9", "-p", "4", "--format", "csv"],
+    ["predict", "quadric-points", "-N", "30", "-n", "9", "--ci", "2", "-t", "4",
+     "-d", "3"],
+    ["resolve", "ci(2,2,2)", "--format", "csv"],
+    ["resolve", "ci(2,2,2)", "--seed", "-1"],
+    ["reproduce", "ci333-level-s5", "--seed", "-1"],
+    ["resolve", "ci(2,2,2)", "--cap", "-1"],
+    ["reproduce", "froberg-rows", "--all"],
+    ["search", "conj-4.8", "--limit", "-5"],
 ])
-def test_cap_flag_only_where_read(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--cap", "3"])
-    assert exc.value.code == 2
-    assert "--cap" in capsys.readouterr().err
+def test_unread_or_invalid_options_exit_2(capsys, argv):
+    assert _run(capsys, argv) == (2, "")
 
 
 def test_reproduce_single_case(capsys):
