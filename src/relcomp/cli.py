@@ -355,7 +355,6 @@ def _run_search_instance(family, n, ci, s, c, p, seed):
 
 def cmd_search(args):
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     rows = []
     budget = args.limit
     complete = True
@@ -373,6 +372,8 @@ def cmd_search(args):
         path = ""
         if witness is not None and verdict != "CONFIRMED":
             idx += 1
+            if idx == 1:
+                os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(
                 out_dir, "%s-%03d.json" % (args.family, idx))
             _write_witness(path, witness.ring, args.seed,

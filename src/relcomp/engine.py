@@ -236,8 +236,8 @@ class QuotientBasis:
         if gens_d:
             coeffs = np.array([g.coeffs for g in gens_d])
             rels.append(np.hstack([
-                PrimeMatrix(coeffs[:, cols], p).matmul(
-                    PrimeMatrix(prev_table.a[:, prev].T, p)).a
+                PrimeMatrix._trusted(coeffs[:, cols], p).matmul(
+                    PrimeMatrix._trusted(prev_table.a[:, prev].T, p)).a
                 for cols, prev in strips
             ]))
         # vred: coordinates of any V-vector in the chosen basis of A_d
@@ -245,16 +245,16 @@ class QuotientBasis:
         ad = vred.shape[0]
         self._dims[d] = ad
         for k in range(n):
-            self._mult[(k, d - 1)] = PrimeMatrix(
+            self._mult[(k, d - 1)] = PrimeMatrix._trusted(
                 vred[:, k * a1:(k + 1) * a1], p
             )
         # monomial reduction table for degree d
         table = np.zeros((ad, ring.dim(d)), dtype=np.int64)
         if ad:
             for k, (cols, prev) in enumerate(strips):
-                sub = PrimeMatrix(prev_table.a[:, prev], p)
+                sub = PrimeMatrix._trusted(prev_table.a[:, prev], p)
                 table[:, cols] = self._mult[(k, d - 1)].matmul(sub).a
-        self._table[d] = PrimeMatrix(table, p)
+        self._table[d] = PrimeMatrix._trusted(table, p)
         self._top = d
 
 
@@ -316,16 +316,17 @@ def betti_numbers(ideal):
         cols = adim[e] * len(src)
         if rows == 0 or cols == 0:
             return 0
+        # the blocks x_l and -x_l, reduced once; m is written once
+        plus = [qb.mult(l, e).a for l in range(n)]
+        signed = (plus, [-b % ring.p for b in plus])
         m = np.zeros((rows, cols), dtype=np.int64)
         for ci, S in enumerate(src):
             for k, l in enumerate(S):
                 T = S[:k] + S[k + 1:]
-                sign = 1 if k % 2 == 0 else -1
-                blk = qb.mult(l, e).a
                 r0 = tgt[T] * adim[e + 1]
                 c0 = ci * adim[e]
-                m[r0:r0 + adim[e + 1], c0:c0 + adim[e]] = (sign * blk) % ring.p
-        return rank(PrimeMatrix(m, ring.p))
+                m[r0:r0 + adim[e + 1], c0:c0 + adim[e]] = signed[k % 2][l]
+        return rank(PrimeMatrix._trusted(m, ring.p))
 
     beta = {}
     ranks = {}

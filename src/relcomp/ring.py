@@ -165,7 +165,7 @@ class RingCtx:
         """
         a = np.zeros((self.dim(d + f.degree), self.dim(d)), dtype=np.int64)
         a[self.sum_index(d, f.degree), np.arange(self.dim(d))[:, None]] = f.coeffs
-        return PrimeMatrix(a, self.p)
+        return PrimeMatrix._trusted(a, self.p)
 
 
 _TERM_RE = re.compile(r"^\s*(?:(\d+)\s*\*?\s*)?((?:x\d+(?:\^\d+)?(?:\s*\*\s*)?)*)\s*$")
@@ -288,7 +288,7 @@ def contraction_map(F, d):
     if d > s:
         raise DegreeError("cannot contract a degree %d form by degree %d" % (s, d))
     a = F.coeffs[ring.sum_index(s - d, d)] * ring.weights(s - d, d) % ring.p
-    return PrimeMatrix(a, ring.p)
+    return PrimeMatrix._trusted(a, ring.p)
 
 
 def contract_by_poly(g, j):
@@ -297,7 +297,7 @@ def contract_by_poly(g, j):
     a = np.zeros((ring.dim(j - e), ring.dim(j)), dtype=np.int64)
     rows = np.arange(ring.dim(j - e))[:, None]
     a[rows, ring.sum_index(j - e, e)] = g.coeffs * ring.weights(j - e, e) % ring.p
-    return PrimeMatrix(a, ring.p)
+    return PrimeMatrix._trusted(a, ring.p)
 
 
 def pairing_weights(ring, d):

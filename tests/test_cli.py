@@ -251,8 +251,13 @@ def test_every_flag_is_read(tmp_path, monkeypatch, capsys, run, flag):
         assert _run(capsys, argv) == (2, "")
         return
     code, out = _run(capsys, argv)
-    if flag in ("--witness", "--out"):
+    if flag == "--witness":
         assert code == 0 and (tmp_path / value).exists()
+    elif flag == "--out":
+        # made with the first witness written into it, and only then
+        # (test_search_makes_witness_directory_at_first_witness)
+        assert code == 0
+        assert (tmp_path / value).exists() == (value + "/" in out)
     else:
         assert code == 2 or out != _run(capsys, base)[1]
 
@@ -321,3 +326,16 @@ def test_search_empty_grid(tmp_path, capsys):
                  "--limit", "10", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1  # header only
+
+
+def test_search_makes_witness_directory_at_first_witness(tmp_path, monkeypatch,
+                                                          capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["search", "conj-4.8", "--max-degree", "2", "--limit", "1"]) == 0
+    assert "/" not in capsys.readouterr().out
+    assert not (tmp_path / "witnesses").exists()
+    # this grid has one conj-4.7 discovery, so one witness
+    assert main(["search", "conj-4.7", "--max-degree", "2", "--max-socle", "3",
+                 "--out", "out"]) == 0
+    assert "DISCOVERY,out/conj-4.7-001.json" in capsys.readouterr().out
+    assert [f.name for f in (tmp_path / "out").iterdir()] == ["conj-4.7-001.json"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from relcomp import gfp
 from relcomp.errors import ParamError
 from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref, stack
 from relcomp.ring import RingCtx
@@ -199,3 +200,134 @@ def test_matrix_modulus_must_be_a_prime_below_2_31():
         assert str(matrix_err.value) == str(ring_err.value)
     for good in PRIMES:
         assert PrimeMatrix.zeros(1, 1, good).p == good
+
+
+def test_constructor_reduces_its_input():
+    m = PrimeMatrix([[-1, 7, 15], [-15, 2**40, -(2**40)]], 7)
+    assert m.a.tolist() == [[6, 0, 1], [6, 2**40 % 7, -(2**40) % 7]]
+    assert m.a.dtype == np.int64
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PRIMES), st.integers(0, 6), st.integers(0, 40),
+       st.integers(0, 6), st.integers(0, 2**32 - 1))
+@example(2147483647, 2, 2**15 + 3, 2, 0)  # two chunks of each limb product
+def test_matmul_matches_exact_product(p, rows, inner, cols, seed):
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, p, size=(rows, inner))
+    right = rng.integers(0, p, size=(inner, cols))
+    if seed % 2:  # the largest terms
+        left[:], right[:] = p - 1, p - 1
+    want = (left.astype(object) @ right.astype(object)) % p
+    got = PrimeMatrix(left, p).matmul(PrimeMatrix(right, p))
+    assert got.a.dtype == np.int64
+    assert np.array_equal(got.a, want.astype(np.int64))
+
+
+# --- the float64 panel path --------------------------------------------------
+
+
+def _largest_float_prime():
+    p = int((2**53 / gfp._PANEL) ** 0.5) + 2
+    while not (gfp._float_ok(p) and gfp._is_prime(p)):
+        p -= 1
+    return p
+
+
+P_FLOAT_MAX = _largest_float_prime()
+P_FLOAT_NEXT = next(q for q in range(P_FLOAT_MAX + 1, 2 * P_FLOAT_MAX)
+                    if gfp._is_prime(q))
+PANEL_PRIMES = (2, 3, 5, 32003, P_FLOAT_MAX, P_FLOAT_NEXT)
+
+
+def test_float_bound_is_where_the_dispatch_stops():
+    assert gfp._float_ok(P_FLOAT_MAX) and not gfp._float_ok(P_FLOAT_NEXT)
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, P_FLOAT_MAX, size=(400, 300))
+    assert gfp._working_copy(a, P_FLOAT_MAX).dtype == np.float64
+    assert gfp._working_copy(a, P_FLOAT_NEXT).dtype == np.int64
+    assert gfp._working_copy(a, 2147483647).dtype == np.int64
+
+
+def test_reduce_is_exact_up_to_the_bound():
+    rng = np.random.default_rng(11)
+    for p in (2, 3, 32003, P_FLOAT_MAX):
+        bound = 2**53 - 2 * p
+        top = bound // p * p
+        near = [q + d for q in (top, -top, top - p, p, 0, -p) for d in range(-2, 3)]
+        xs = [x for x in near if abs(x) <= bound]
+        xs += [bound, -bound] + rng.integers(-bound, bound, size=1000).tolist()
+        got = np.array(xs, dtype=np.float64)
+        assert got.astype(np.int64).tolist() == xs  # all exact in float64
+        gfp._reduce(got, p)
+        assert got.astype(np.int64).tolist() == [x % p for x in xs]
+
+
+@st.composite
+def panel_matrices(draw):
+    """Dense, rank-deficient and sparse matrices across several panels."""
+    p = draw(st.sampled_from(PANEL_PRIMES))
+    rows, cols = draw(st.integers(0, 200)), draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "low-rank", "sparse"]))
+    if kind == "dense":
+        a = rng.integers(0, p, size=(rows, cols))
+    elif kind == "low-rank":
+        k = draw(st.integers(0, 40))
+        a = (rng.integers(0, p, size=(rows, k))
+             @ rng.integers(0, p, size=(k, cols))) % p
+    else:
+        density = draw(st.sampled_from([0.005, 0.02, 0.1]))
+        a = rng.integers(0, p, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    return PrimeMatrix(a, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(panel_matrices())
+@example(PrimeMatrix(np.random.default_rng(1).integers(
+    0, P_FLOAT_MAX, size=(160, 200)), P_FLOAT_MAX))  # would pass 2**53 unreduced
+@example(PrimeMatrix(np.full((70, 90), 5), 7))
+@example(PrimeMatrix.zeros(0, 100, 32003))
+@example(PrimeMatrix.zeros(100, 0, 32003))
+def test_panel_path_matches_loop_oracle(m):
+    with pytest.MonkeyPatch.context() as mp:
+        if gfp._float_ok(m.p):
+            # send every matrix down the panel path, whatever its size
+            mp.setattr(gfp, "_working_copy", lambda a, p: a.astype(np.float64))
+        else:
+            assert gfp._working_copy(m.a, m.p).dtype == np.int64
+        red, pivots = rref(m)
+        got_rank = rank(m)
+        ker = kernel_basis(m)
+    want_red, want_pivots = oracle_rref(m.a, m.p)
+    assert list(pivots) == want_pivots
+    assert red.a.dtype == np.int64 and np.array_equal(red.a, want_red)
+    assert got_rank == oracle_rank(m.a, m.p)
+    assert np.array_equal(ker.a, oracle_kernel(m.a, m.p))
+
+
+def test_large_dense_matrices_take_the_panel_path(monkeypatch):
+    calls = []
+    panels = gfp._eliminate_panels
+
+    def counting(a, p, full):
+        calls.append(a.shape)
+        return panels(a, p, full)
+
+    monkeypatch.setattr(gfp, "_eliminate_panels", counting)
+    rng = np.random.default_rng(7)
+    p = 32003
+    dense = PrimeMatrix((rng.integers(0, p, size=(400, 60))
+                         @ rng.integers(0, p, size=(60, 300))) % p, p)
+    want_red, want_pivots = oracle_rref(dense.a, p)
+    red, pivots = rref(dense)
+    assert np.array_equal(red.a, want_red) and pivots == want_pivots
+    assert rank(dense) == len(want_pivots) == 60
+    assert kernel_basis(dense).rows == 300 - 60
+    assert calls == [(400, 300)] * 3
+    # sparse, small or too large a modulus: the pivot loop
+    sparse = PrimeMatrix(dense.a * (rng.random((400, 300)) < 0.005), p)
+    rank(sparse)
+    rank(PrimeMatrix(dense.a[:200, :200], p))
+    rank(PrimeMatrix(dense.a, 2147483647))
+    assert len(calls) == 3
