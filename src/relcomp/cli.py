@@ -20,6 +20,7 @@ the annihilator of their span.
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import re
@@ -299,15 +300,8 @@ def _search_grid(family, max_n, max_degree, max_socle):
         if family == "conj-4.8":
             degree_lists = [(d,) * n for d in range(2, max_degree + 1)]
         else:
-            degree_lists = []
-            for d1 in range(2, max_degree + 1):
-                for d2 in range(d1, max_degree + 1):
-                    for d3 in range(d2, max_degree + 1):
-                        if n == 3:
-                            degree_lists.append((d1, d2, d3))
-                        else:
-                            for d4 in range(d3, max_degree + 1):
-                                degree_lists.append((d1, d2, d3, d4))
+            degree_lists = itertools.combinations_with_replacement(
+                range(2, max_degree + 1), n)
         for ci in degree_lists:
             total = sum(ci)
             for s in range(2, min(total - n - 1, max_socle) + 1):

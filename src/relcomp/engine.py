@@ -12,12 +12,15 @@ The per-degree data are: an abstract basis, multiplication matrices for
 each variable, and a reduction table sending every monomial of R_d to
 its class.
 
-Each GradedIdeal owns one QuotientBasis of its generators, built lazily
-(GradedIdeal.quotient) and shared by every reader of R/I; the generators
+Each GradedIdeal owns one QuotientBasis of its generators
+(GradedIdeal.quotient), shared by every reader of R/I; the generators
 are never changed after construction.  The degree up to which R/I is
-probed is the ideal's proven GradedIdeal.artinian_bound.  The other
-models are incremental ones of partial ideals, used while colon ideals,
-annihilators and minimal generating sets are assembled.
+probed is the ideal's proven GradedIdeal.artinian_bound.  Colon ideals
+and annihilators find their generators through an incremental model
+that grows one generator at a time; the ideal they return carries that
+model as its quotient instead of building a second one.  The only other
+model is the incremental one of a partial ideal that picks a minimal
+generating set among given generators.
 
 On top of that sit Hilbert functions, graded Betti numbers via the
 homology of the Koszul complex tensored with A, minimal generator
@@ -68,7 +71,9 @@ __all__ = [
 
 class GradedIdeal:
     """A homogeneous ideal given by fixed generators, with provenance data
-    and the model of R/I they define."""
+    and the one model of R/I they define: built on first read, or handed
+    over by the colon or annihilator computation that found the
+    generators."""
 
     def __init__(self, ring, gens, provenance=None):
         self.ring = ring
@@ -303,6 +308,7 @@ def betti_numbers(ideal):
     subsets = {i: list(itertools.combinations(range(n), i)) for i in range(n + 1)}
     sub_index = {i: {S: t for t, S in enumerate(subsets[i])} for i in range(n + 1)}
 
+    @functools.cache
     def boundary_rank(i, j):
         """rank of d_i in internal degree j."""
         if i < 1 or i > n:
@@ -329,22 +335,13 @@ def betti_numbers(ideal):
         return rank(PrimeMatrix._trusted(m, ring.p))
 
     beta = {}
-    ranks = {}
     for i in range(0, n + 1):
         for j in range(i, s + i + 1):
             e = j - i
             cdim = adim[e] * len(subsets[i]) if 0 <= e <= s else 0
             if cdim == 0:
                 continue
-            r_i = ranks.get((i, j))
-            if r_i is None:
-                r_i = boundary_rank(i, j)
-                ranks[(i, j)] = r_i
-            r_next = ranks.get((i + 1, j))
-            if r_next is None:
-                r_next = boundary_rank(i + 1, j)
-                ranks[(i + 1, j)] = r_next
-            b = (cdim - r_i) - r_next
+            b = (cdim - boundary_rank(i, j)) - boundary_rank(i + 1, j)
             if b < 0:
                 raise InternalError(
                     "negative Betti number %d at (%d, %d)" % (b, i, j))
@@ -436,16 +433,19 @@ def _require_contained(c, ideal, role):
                 % (g.degree, role))
 
 
-def _sift_generators(ring, degrees, blocks):
-    """Generators, degree by degree, of the ideal whose degree d piece is
-    the joint kernel of the matrices blocks(d) (all of R_d when there are
-    none: the kernel of a matrix with no rows is the identity).
+def _sift_generators(ring, degrees, blocks, provenance):
+    """The ideal whose degree d piece is the joint kernel of the matrices
+    blocks(d) (all of R_d when there are none: the kernel of a matrix with
+    no rows is the identity), with generators found degree by degree.
 
     The kernel is sifted through an incrementally built quotient of the
     generators found so far: a kernel row becomes a generator when its
     class there is independent of the classes of its predecessors.  Stops
-    at the first degree where that quotient vanishes.  Returns the
-    quotient and the generators.
+    at the first degree where that quotient vanishes.  The returned
+    ideal's quotient is that incremental model: it holds the same
+    per-degree generator lists as a fresh QuotientBasis of the generators,
+    every degree it still caches was built from them, and the degrees a
+    late generator invalidated are rebuilt lazily.
     """
     build = QuotientBasis(ring)
     gens = []
@@ -465,7 +465,10 @@ def _sift_generators(ring, degrees, blocks):
                 g = HomogPoly(ring, d, ker.a[idx])
                 gens.append(g)
                 build.add_generator(g)
-    return build, gens
+    ideal = GradedIdeal(ring, gens, provenance)
+    # complete now: it becomes the model GradedIdeal.quotient would build
+    ideal.__dict__["quotient"] = build
+    return ideal
 
 
 def ideal_quotient(c, ideal, cap=None):
@@ -477,9 +480,7 @@ def ideal_quotient(c, ideal, cap=None):
     generators.
     """
     ring = c.ring
-    h_c = hilbert_function(c)
-    if not h_c.exact:
-        raise NotArtinianError("the linking ideal must be Artinian")
+    qc, h_c = _artinian_quotient(c)
     e = h_c.top_degree()
     _require_contained(c, ideal, "linking")
     if cap is None:
@@ -487,12 +488,9 @@ def ideal_quotient(c, ideal, cap=None):
 
     def blocks(d):
         # R/c vanishes beyond degree e: no condition there
-        return [c.quotient.table(d + g.degree).matmul(ring.mult_map(g, d))
+        return [qc.table(d + g.degree).matmul(ring.mult_map(g, d))
                 for g in ideal.gens if d + g.degree <= e]
 
-    build, gens = _sift_generators(ring, range(cap + 1), blocks)
-    if cap < e + 1 and build.dim(cap) != 0:
-        raise CapError("generators may exist beyond degree %d" % cap)
     prov = {
         "recipe": [
             "quotient",
@@ -500,7 +498,10 @@ def ideal_quotient(c, ideal, cap=None):
             ideal.provenance.get("recipe"),
         ]
     }
-    return GradedIdeal(ring, gens, prov)
+    colon = _sift_generators(ring, range(cap + 1), blocks, prov)
+    if cap < e + 1 and colon.quotient.dim(cap) != 0:
+        raise CapError("generators may exist beyond degree %d" % cap)
+    return colon
 
 
 def annihilator_ideal(f_list):
@@ -516,10 +517,10 @@ def annihilator_ideal(f_list):
         raise ParamError("need at least one dual form")
     ring = f_list[0].ring
     smax = max(f.degree for f in f_list)
-    _, gens = _sift_generators(
+    return _sift_generators(
         ring, range(1, smax + 2),
-        lambda d: [contraction_map(f, d) for f in f_list if f.degree >= d])
-    return GradedIdeal(ring, gens, {"recipe": ["ann", len(f_list), smax]})
+        lambda d: [contraction_map(f, d) for f in f_list if f.degree >= d],
+        {"recipe": ["ann", len(f_list), smax]})
 
 
 def perp_basis(c, j):

@@ -171,14 +171,23 @@ def test_resolve_refuses_infinite_quotient(capsys):
     assert "not finite" in err
 
 
+def test_resolve_refuses_link_by_non_artinian_ideal(capsys):
+    # no --cap can help: the linking ideal has fewer generators than variables
+    assert main(["resolve", "link(ci(2,2),general-forms(2,2,2))",
+                 "-n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "fewer than 3 generators: R/I is not Artinian" in err
+    assert "cap" not in err
+
+
 @pytest.mark.parametrize("recipe, n, models", [
-    ("ann(perp-pick(1,6,ci(2)))", "4", 2),
-    ("link(ci(3,3,3), general-forms(3,3,3,3))", "3", 4),
+    ("ann(perp-pick(1,6,ci(2)))", "4", 1),
+    ("link(ci(3,3,3), general-forms(3,3,3,3))", "3", 3),
 ])
 def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, recipe, n,
                                             models):
-    # ann: the annihilator's incremental model and the result's model;
-    # link: the models of both ideals, the colon's incremental one, the result's
+    # ann: the annihilator's incremental model, which the result carries;
+    # link: the models of both ideals and the colon's, which the result carries
     built = []
     init = QuotientBasis.__init__
 

@@ -8,6 +8,7 @@ from relcomp import engine
 from relcomp.betti import ghost_classify, koszul_shape
 from relcomp.engine import (
     GradedIdeal,
+    QuotientBasis,
     annihilator_ideal,
     betti_numbers,
     betti_numbers_syzygy,
@@ -103,6 +104,39 @@ def test_shared_model_and_proven_bound(data):
     assert socle(ideal) == socle(GradedIdeal(ring, ideal.gens))
     assert hilbert_function(ideal) == hilbert_function(GradedIdeal(ring, ideal.gens))
     assert ideal.quotient is model
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_sifted_ideal_carries_its_model(data):
+    # annihilators and colon ideals hand their incremental model over; it
+    # must be the model a fresh QuotientBasis of their generators builds
+    n = data.draw(st.integers(2, 4), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003]), label="p")
+    seed = data.draw(st.integers(1, 1000), label="seed")
+    ring = RingCtx(n, p)
+    stream = FormStream(ring, seed)
+    if data.draw(st.booleans(), label="link"):
+        powers = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n),
+                           label="powers")
+        c = GradedIdeal(ring, [ring.monomial(tuple(a if i == k else 0
+                                                   for i in range(n)))
+                               for k, a in enumerate(powers)])
+        extra = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2),
+                          label="extra")
+        result = ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms(extra)))
+    else:
+        degrees = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=2),
+                            label="dual degrees")
+        result = annihilator_ideal(stream.forms(degrees))
+    carried = result.quotient
+    fresh = QuotientBasis(ring, result.gens)
+    bound = result.artinian_bound()
+    for d in range(bound + 1):
+        assert carried.dim(d) == fresh.dim(d)
+        assert np.array_equal(carried.table(d).a, fresh.table(d).a)
+        for k in range(n if d < bound else 0):
+            assert np.array_equal(carried.mult(k, d).a, fresh.mult(k, d).a)
 
 
 def test_artinian_bound_needs_enough_generators():
