@@ -1,10 +1,15 @@
 """Command line surface: recipes, subcommands, output formats."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import relcomp
 from relcomp.cli import eval_recipe, main, parse_recipe
 from relcomp.engine import GradedIdeal, QuotientBasis, hilbert_function
 from relcomp.errors import ParamError
@@ -58,6 +63,20 @@ def test_froberg_command(capsys):
     assert main(["froberg", "-n", "3", "-d", "9,9,9,9,9"]) == 0
     out = capsys.readouterr().out.strip()
     assert out == "1 3 6 10 15 21 28 36 45 50 51 48 41 30 15"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(relcomp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-m", "relcomp", "froberg", "-n", "3", "-d", "3,3,3"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1 3 6 7 6 3 1\n", "")
+    # main's status is the process's
+    done = subprocess.run([sys.executable, "-m", "relcomp", "resolve", "general-forms(2,2,2)",
+                           "-n", "3", "-p", "4"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and done.stderr.startswith("error:")
 
 
 def test_froberg_json(capsys):

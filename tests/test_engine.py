@@ -1,11 +1,14 @@
 """Exact engine: quotient algebras, linkage, inverse systems, verdicts."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from relcomp import engine
-from relcomp.betti import ghost_classify, koszul_shape
+from relcomp.betti import BettiTable, ghost_classify, koszul_shape
 from relcomp.engine import (
     GradedIdeal,
     QuotientBasis,
@@ -28,6 +31,7 @@ from relcomp.errors import (
     NotContainedError,
     ParamError,
 )
+from relcomp.gfp import PrimeMatrix, rank
 from relcomp.ring import FormStream, HomogPoly, RingCtx
 from relcomp.series import froberg_prediction, linkage_hf
 
@@ -155,6 +159,36 @@ def test_unit_ideal_quotient_is_zero():
     assert hilbert_function(unit).text() == "0"
 
 
+def test_unit_ideal_model_maps_are_zero():
+    ring = ring3()
+    qb = GradedIdeal(ring, [ring.monomial((0, 0, 0))]).quotient
+    assert qb.mult(0, 0).a.shape == (0, 0)
+    assert qb.mult(2, 3).a.shape == (0, 0)
+    assert qb.socle_dim(0) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_socle_dims_follow_late_generators(data):
+    # a generator added after its degree was built drops the socle dims
+    # that read that degree
+    n = data.draw(st.integers(2, 4), label="n")
+    degrees = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n + 2),
+                        label="degrees")
+    seed = data.draw(st.integers(1, 1000), label="seed")
+    ring = RingCtx(n, 32003)
+    gens = FormStream(ring, seed).forms(degrees)
+    qb = QuotientBasis(ring, gens[:-1])
+    top = sum(sorted(degrees)[-n:])
+    before = [qb.socle_dim(d) for d in range(top + 1)]
+    qb.add_generator(gens[-1])
+    fresh = QuotientBasis(ring, gens)
+    assert [qb.socle_dim(d) for d in range(top + 1)] == \
+        [fresh.socle_dim(d) for d in range(top + 1)]
+    assert before == [QuotientBasis(ring, gens[:-1]).socle_dim(d)
+                      for d in range(top + 1)]
+
+
 # --- minimal generators and socle ------------------------------------------
 
 
@@ -237,6 +271,123 @@ def test_negative_betti_number_is_refused(monkeypatch):
     monkeypatch.setattr(engine, "rank", lambda m: true_rank(m) + 1)
     with pytest.raises(InternalError, match="negative Betti number"):
         betti_numbers(ci)
+
+
+def oracle_betti_numbers(ideal):
+    """The Betti table with every Koszul boundary rank eliminated, on a
+    fresh model of the generators: the reference for the ranks that
+    betti_numbers reads off theorems."""
+    ring = ideal.ring
+    n = ring.n
+    qb = QuotientBasis(ring, ideal.gens)
+    s = hilbert_function(ideal).top_degree()
+    adim = [qb.dim(d) for d in range(s + 2)]
+
+    subsets = {i: list(itertools.combinations(range(n), i)) for i in range(n + 1)}
+    sub_index = {i: {S: t for t, S in enumerate(subsets[i])} for i in range(n + 1)}
+
+    @functools.cache
+    def boundary_rank(i, j):
+        if i < 1 or i > n:
+            return 0
+        e = j - i
+        if e < 0 or e > s or adim[e] == 0:
+            return 0
+        src = subsets[i]
+        tgt = sub_index[i - 1]
+        rows = adim[e + 1] * len(subsets[i - 1])
+        cols = adim[e] * len(src)
+        if rows == 0 or cols == 0:
+            return 0
+        plus = [qb.mult(l, e).a for l in range(n)]
+        signed = (plus, [-b % ring.p for b in plus])
+        m = np.zeros((rows, cols), dtype=np.int64)
+        for ci, S in enumerate(src):
+            for k, l in enumerate(S):
+                T = S[:k] + S[k + 1:]
+                r0 = tgt[T] * adim[e + 1]
+                c0 = ci * adim[e]
+                m[r0:r0 + adim[e + 1], c0:c0 + adim[e]] = signed[k % 2][l]
+        return rank(PrimeMatrix(m, ring.p))
+
+    beta = {}
+    for i in range(0, n + 1):
+        for j in range(i, s + i + 1):
+            e = j - i
+            cdim = adim[e] * len(subsets[i]) if 0 <= e <= s else 0
+            if cdim == 0:
+                continue
+            b = (cdim - boundary_rank(i, j)) - boundary_rank(i + 1, j)
+            assert b >= 0
+            if b:
+                beta[(i, j)] = b
+    return BettiTable(beta)
+
+
+# per n, the largest form degree that keeps the oracle's eliminations small
+ORACLE_TOP = {2: 9, 3: 7, 4: 5, 5: 4}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_betti_numbers_match_all_ranks_oracle(data):
+    n = data.draw(st.integers(2, 5), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003]), label="p")
+    seed = data.draw(st.integers(1, 1000), label="seed")
+    ring = RingCtx(n, p)
+    stream = FormStream(ring, seed)
+    top = ORACLE_TOP[n]
+    kind = data.draw(st.sampled_from(["form", "sparse form", "forms", "general forms"]),
+                     label="kind")
+    if kind == "general forms":
+        degrees = data.draw(st.lists(st.integers(1, 3 if n < 5 else 2),
+                                     min_size=n, max_size=n + 2), label="degrees")
+        ideal = general_forms(ring, degrees, stream)
+    else:
+        s = data.draw(st.integers(1, top), label="s")
+        if kind == "form":
+            # compressed Gorenstein, except where small p degenerates the pairing
+            forms = [stream.form(s)]
+        elif kind == "sparse form":
+            # a few monomials: Gorenstein, far from compressed
+            terms = data.draw(st.lists(st.integers(0, ring.dim(s) - 1), min_size=1,
+                                       max_size=3, unique=True), label="terms")
+            v = np.zeros(ring.dim(s), dtype=np.int64)
+            v[terms] = 1
+            forms = [HomogPoly(ring, s, v)]
+        else:
+            forms = stream.forms([s] * data.draw(st.integers(2, 3), label="count"))
+        ideal = annihilator_ideal(forms)
+    if not hilbert_function(ideal).exact:
+        # random forms over a tiny field need not cut out an Artinian quotient
+        with pytest.raises(NotArtinianError):
+            betti_numbers(ideal)
+        return
+    assert betti_numbers(ideal) == oracle_betti_numbers(ideal)
+
+
+def test_betti_numbers_unit_ideal_and_one_variable():
+    for n in (1, 3):
+        ring = RingCtx(n, 32003)
+        unit = GradedIdeal(ring, [ring.monomial((0,) * n)])
+        assert betti_numbers(unit) == oracle_betti_numbers(unit) == BettiTable({})
+    ring = RingCtx(1, 3)
+    for m in range(1, 6):
+        ideal = GradedIdeal(ring, [ring.monomial((m,))])
+        assert betti_numbers(ideal) == oracle_betti_numbers(ideal) == \
+            BettiTable({(0, 0): 1, (1, m): 1})
+
+
+def test_socle_ranks_are_computed_once(monkeypatch):
+    ring = ring3()
+    ideal = general_forms(ring, (2, 2, 3, 3), FormStream(ring, 4))
+    calls = []
+    true_rank = engine.rank
+    monkeypatch.setattr(engine, "rank", lambda m: calls.append(m.a.shape) or true_rank(m))
+    betti_numbers(ideal)
+    before = len(calls)
+    assert socle(ideal) == socle(GradedIdeal(ring, ideal.gens))
+    assert len(calls) == before + hilbert_function(ideal).top_degree() + 1
 
 
 def test_betti_oracle_agreement_fixed_cases():
