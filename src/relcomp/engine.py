@@ -3,12 +3,14 @@ Ground-truth computations on concrete graded ideals over GF(p).
 
 The central object is QuotientBasis, an incremental model of the graded
 algebra A = R/I.  Instead of row-reducing the (large) span of I inside
-each R_d, the degree d piece of A is constructed as a quotient of
-x_1*A_{d-1} + ... + x_n*A_{d-1} by the commutation relations
-x_j*(x_k*b) = x_k*(x_j*b) and by the images of the degree d generators.
-All matrices involved have sizes bounded by n * dim A_{d-1}, which for
-Artinian quotients stays small even when dim R_d is in the thousands.
-The per-degree data are: an abstract basis, multiplication matrices for
+each R_d, the degree d piece of A is built on the distinct products x_k*b
+of a variable and a basis monomial b of A_{d-1}: A_d is their span modulo
+the commutation relations x_j*(x_k*b) = x_k*(x_j*b) and the images of
+the degree d generators.  The basis monomials are the degree reverse
+lexicographic standard monomials of I, so the products are their upper
+shadow: at most min(n * dim A_{d-1}, dim R_d) columns, which for Artinian
+quotients stays small even when dim R_d is in the thousands.  The
+per-degree data are: a basis of monomials, multiplication matrices for
 each variable, and a reduction table sending every monomial of R_d to
 its class.
 
@@ -50,7 +52,7 @@ from .errors import (
     NotContainedError,
     ParamError,
 )
-from .gfp import PrimeMatrix, kernel_basis, rank, rref, stack
+from .gfp import PrimeMatrix, _kernel, kernel_basis, rank, rref, stack
 from .ring import HomogPoly, contract_by_poly, contraction_map
 from .series import HilbertSeries, rc_min_bound, rc_upper_bound_liaison
 
@@ -72,6 +74,8 @@ __all__ = [
     "general_element",
     "ci_in",
 ]
+
+_GATHER_CHUNK = 2**18  # entries of one product_classes gather
 
 
 class GradedIdeal:
@@ -142,8 +146,47 @@ class GradedIdeal:
 
 
 class QuotientBasis:
-    """Per-degree model of A = R/I: abstract bases, multiplication
+    """Per-degree model of A = R/I: a monomial basis, multiplication
     matrices and monomial reduction tables, built degree by degree.
+
+    The basis of A_d is the classes of the monomials at the R_d positions
+    _std[d]: the standard monomials of I of degree d (those outside its
+    initial ideal) for the degree reverse lexicographic order, the
+    Macaulay basis of Cox, Little and O'Shea, Ideals, Varieties, and
+    Algorithms, section 5.3.  _build(d) finds them from degree d - 1 alone.
+    Proof, for S = _std[d - 1]:
+
+    * R_1 (x) R_{d-1} -> R_d is onto, and its kernel is spanned by the
+      Koszul relations x_j (x) x_k m - x_k (x) x_j m (R's Koszul complex
+      is exact in degree d >= 2).  Since I_d = R_1 I_{d-1} plus the span
+      of the degree d generators, A_d is the quotient of
+      V = R_1 (x) A_{d-1} (n * dim A_{d-1} dimensional) by the
+      commutation relations x_j (x_k b) - x_k (x_j b), b in a basis of
+      A_{d-2} (x_k m lies in I_{d-1} when m lies in I_{d-2}), and by
+      sum_k x_k (x) g_k for each degree d generator g = sum_k x_k g_k.
+    * Multiplying out, mu: V -> span(M_d), x_k (x) b -> x_k b for b in S,
+      onto the span of the distinct products M_d, is onto, and the map
+      V -> A_d is mu followed by taking classes.  So ker mu maps to 0 in
+      A_d, lies in the span of the relations, and
+      A_d = span(M_d) / mu(relations), with mu(relations) = I_d meet
+      span(M_d).  The free columns of its echelon form give a monomial
+      basis of A_d, and its kernel basis (the identity on them) gives the
+      class of every product, so mult(k, d - 1) is its columns at x_k S.
+    * With the columns in descending degrevlex order, the pivot columns
+      are the leading monomials of I_d meet span(M_d), which lie in the
+      initial ideal.  Conversely, let S be the standard monomials of
+      degree d - 1 (true for d = 1).  A divisor of a standard monomial is
+      standard, so every standard monomial of degree d lies in M_d, and it
+      is free.  A nonstandard m in M_d leads m - NF(m), which lies in I_d
+      and in span(M_d), since its normal form NF(m) is a combination of
+      smaller standard monomials; so m is a pivot.  The free columns are
+      therefore exactly the standard monomials of degree d.  They form an
+      order ideal, M_d is their upper shadow, and table(d) is the identity
+      on them.  A commutation row whose products x_k b and x_j b are both
+      standard vanishes, and zero rows are dropped before the elimination.
+    * Every reader (hilbert_function, betti_numbers, socle_dim, the
+      sifting and _require_contained) reads only dimensions, ranks and
+      kernels, which do not depend on the basis.
 
     Generators can also be fed in incrementally with add_generator, as
     long as each arrives before its degree is built; this is how colon
@@ -155,6 +198,9 @@ class QuotientBasis:
         self.gens_by_degree = {}
         self._unit = False
         self._dims = {0: 1}
+        # _std[d]: positions in R_d of the monomials whose classes are the
+        # basis of A_d
+        self._std = {0: np.zeros(1, dtype=np.int64)}
         # _mult[(k, d)]: class of x_{k+1} * (-): A_d -> A_{d+1}
         self._mult = {}
         # _table[d]: matrix (dim A_d) x (dim R_d) reducing monomials
@@ -176,6 +222,7 @@ class QuotientBasis:
             for d in range(g.degree, self._top + 1):
                 del self._dims[d]
                 del self._table[d]
+                self._std.pop(d, None)
                 for k in range(self.ring.n):
                     self._mult.pop((k, d - 1), None)
             self._top = g.degree - 1
@@ -226,29 +273,41 @@ class QuotientBasis:
         v = PrimeMatrix(np.asarray(vectors, dtype=np.int64), self.ring.p)
         return PrimeMatrix(t.matmul(PrimeMatrix(v.a.T, self.ring.p)).a.T, self.ring.p)
 
+    def product_classes(self, g, d):
+        """Classes in A of g*m for every monomial m of R_d, as the columns of
+        a matrix: table(d + deg g) @ ring.mult_map(g, d), gathered from the
+        table instead of multiplied.  Each term is reduced before the sum,
+        which therefore stays inside int64 for any p below 2**31."""
+        p, nz = self.ring.p, g.coeffs.nonzero()[0]
+        t = self.table(d + g.degree).a
+        idx, c = self.ring.sum_index(d, g.degree)[:, nz], g.coeffs[nz]
+        out = np.empty((t.shape[0], idx.shape[0]), dtype=np.int64)
+        step = max(1, _GATHER_CHUNK // idx.size)
+        for i in range(0, t.shape[0], step):
+            out[i:i + step] = (t[i:i + step, idx] * c % p).sum(axis=2) % p
+        return PrimeMatrix._trusted(out, p)
+
     def _build(self, d):
         ring = self.ring
         n, p = ring.n, ring.p
-        a1 = self._dims[d - 1]
         a2 = self._dims.get(d - 2, 0)
-        vdim = n * a1
         gens_d = self.gens_by_degree.get(d, [])
-        if vdim == 0:
-            self._dims[d] = 0
-            self._table[d] = PrimeMatrix(
-                np.zeros((0, ring.dim(d)), dtype=np.int64), p
-            )
-            self._top = d
-            return
+        # columns: the distinct products x_k * b, b in _std[d - 1], in
+        # descending degrevlex order (lexsort keys the last exponent first);
+        # pos[i, k] is the column of x_{k+1} * _std[d - 1][i]
+        prod = ring.sum_index(d - 1, 1)[self._std[d - 1]]
+        order = np.lexsort(ring.exponents(d).T)
+        keys, pos = np.unique(np.argsort(order)[prod], return_inverse=True)
+        pos = pos.reshape(prod.shape)
         # commutation relations x_j*(x_k*b) = x_k*(x_j*b) for b in A_{d-2},
         # one block of a2 rows per pair j < k
-        rels = [np.zeros((0, vdim), dtype=np.int64)]
+        rels = [np.zeros((0, keys.size), dtype=np.int64)]
         if a2:
             mults = [self.mult(k, d - 2).a.T for k in range(n)]
             for j, k in itertools.combinations(range(n), 2):
-                blk = np.zeros((a2, vdim), dtype=np.int64)
-                blk[:, j * a1:(j + 1) * a1] = mults[k]
-                blk[:, k * a1:(k + 1) * a1] = -mults[j]
+                blk = np.zeros((a2, keys.size), dtype=np.int64)
+                blk[:, pos[:, j]] = mults[k]
+                blk[:, pos[:, k]] -= mults[j]
                 rels.append(blk)
         # images of the new generators: g = sum_k x_k g_k with g_k read off
         # by stripping the first variable of each monomial
@@ -256,19 +315,20 @@ class QuotientBasis:
         strips = ring.strip(d)
         if gens_d:
             coeffs = np.array([g.coeffs for g in gens_d])
-            rels.append(np.hstack([
-                PrimeMatrix._trusted(coeffs[:, cols], p).matmul(
+            blk = np.zeros((len(gens_d), keys.size), dtype=np.int64)
+            for k, (cols, prev) in enumerate(strips):
+                blk[:, pos[:, k]] += PrimeMatrix._trusted(coeffs[:, cols], p).matmul(
                     PrimeMatrix._trusted(prev_table.a[:, prev].T, p)).a
-                for cols, prev in strips
-            ]))
-        # vred: coordinates of any V-vector in the chosen basis of A_d
-        vred = kernel_basis(PrimeMatrix(np.vstack(rels), p)).a
+            rels.append(blk)
+        rels = np.vstack(rels) % p
+        # vred: coordinates of every product in the basis of A_d
+        ker, free = _kernel(PrimeMatrix._trusted(rels[rels.any(axis=1)], p))
+        vred = ker.a
         ad = vred.shape[0]
         self._dims[d] = ad
+        self._std[d] = order[keys[free]]
         for k in range(n):
-            self._mult[(k, d - 1)] = PrimeMatrix._trusted(
-                vred[:, k * a1:(k + 1) * a1], p
-            )
+            self._mult[(k, d - 1)] = PrimeMatrix._trusted(vred[:, pos[:, k]], p)
         # monomial reduction table for degree d
         table = np.zeros((ad, ring.dim(d)), dtype=np.int64)
         if ad:
@@ -536,8 +596,7 @@ def ideal_quotient(c, ideal, cap=None):
 
     def blocks(d):
         # R/c vanishes beyond degree e: no condition there
-        return [qc.table(d + g.degree).matmul(ring.mult_map(g, d))
-                for g in ideal.gens if d + g.degree <= e]
+        return [qc.product_classes(g, d) for g in ideal.gens if d + g.degree <= e]
 
     prov = {
         "recipe": [
@@ -615,6 +674,9 @@ def is_relatively_compressed(ideal, c):
     hf = hilbert_function(ideal)
     if not hf.exact:
         raise NotArtinianError("quotient is not Artinian within its bound")
+    if not hf[0]:
+        raise ParamError("R/I is zero (I is the unit ideal): it has no socle "
+                         "degree to compare with the bounds")
     prof = socle(ideal)
     ci_degrees = c.degrees()
     s = prof.socle_degree

@@ -330,6 +330,11 @@ def kernel_basis(m):
     red is the rref.  A matrix with no rows has every column free, so its
     kernel basis is the identity.
     """
+    return _kernel(m)[0]
+
+
+def _kernel(m):
+    """kernel_basis(m) and its free columns, in increasing order."""
     red, pivots = rref(m)
     free = np.ones(m.cols, dtype=bool)
     free[pivots] = False
@@ -337,7 +342,7 @@ def kernel_basis(m):
     basis = np.zeros((free.size, m.cols), dtype=np.int64)
     basis[np.arange(free.size), free] = 1
     basis[:, pivots] = -red.a[:len(pivots), free].T % m.p
-    return PrimeMatrix._trusted(basis, m.p)
+    return PrimeMatrix._trusted(basis, m.p), free
 
 
 def stack(mats):

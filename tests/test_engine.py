@@ -31,7 +31,7 @@ from relcomp.errors import (
     NotContainedError,
     ParamError,
 )
-from relcomp.gfp import PrimeMatrix, rank
+from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref
 from relcomp.ring import FormStream, HomogPoly, RingCtx
 from relcomp.series import froberg_prediction, linkage_hf
 
@@ -187,6 +187,165 @@ def test_socle_dims_follow_late_generators(data):
         [fresh.socle_dim(d) for d in range(top + 1)]
     assert before == [QuotientBasis(ring, gens[:-1]).socle_dim(d)
                       for d in range(top + 1)]
+
+
+class OracleQuotientBasis(QuotientBasis):
+    """The model with an abstract basis: A_d as the quotient of
+    x_1*A_{d-1} + ... + x_n*A_{d-1} (n * dim A_{d-1} columns) by the
+    commutation relations and the generator images.  The reference for
+    the monomial-basis model, which must describe the same algebra."""
+
+    def _build(self, d):
+        ring = self.ring
+        n, p = ring.n, ring.p
+        a1 = self._dims[d - 1]
+        a2 = self._dims.get(d - 2, 0)
+        vdim = n * a1
+        gens_d = self.gens_by_degree.get(d, [])
+        if vdim == 0:
+            self._dims[d] = 0
+            self._table[d] = PrimeMatrix(
+                np.zeros((0, ring.dim(d)), dtype=np.int64), p
+            )
+            self._top = d
+            return
+        rels = [np.zeros((0, vdim), dtype=np.int64)]
+        if a2:
+            mults = [self.mult(k, d - 2).a.T for k in range(n)]
+            for j, k in itertools.combinations(range(n), 2):
+                blk = np.zeros((a2, vdim), dtype=np.int64)
+                blk[:, j * a1:(j + 1) * a1] = mults[k]
+                blk[:, k * a1:(k + 1) * a1] = -mults[j]
+                rels.append(blk)
+        prev_table = self._table[d - 1]
+        strips = ring.strip(d)
+        if gens_d:
+            coeffs = np.array([g.coeffs for g in gens_d])
+            rels.append(np.hstack([
+                PrimeMatrix._trusted(coeffs[:, cols], p).matmul(
+                    PrimeMatrix._trusted(prev_table.a[:, prev].T, p)).a
+                for cols, prev in strips
+            ]))
+        vred = kernel_basis(PrimeMatrix(np.vstack(rels), p)).a
+        ad = vred.shape[0]
+        self._dims[d] = ad
+        for k in range(n):
+            self._mult[(k, d - 1)] = PrimeMatrix._trusted(
+                vred[:, k * a1:(k + 1) * a1], p
+            )
+        table = np.zeros((ad, ring.dim(d)), dtype=np.int64)
+        if ad:
+            for k, (cols, prev) in enumerate(strips):
+                sub = PrimeMatrix._trusted(prev_table.a[:, prev], p)
+                table[:, cols] = self._mult[(k, d - 1)].matmul(sub).a
+        self._table[d] = PrimeMatrix._trusted(table, p)
+        self._top = d
+
+
+def draw_model_ideal(data, ring, stream):
+    """General forms, the annihilator of one or several forms, a colon
+    ideal, or a unit ideal, in the ring's n and p."""
+    n = ring.n
+    kind = data.draw(st.sampled_from(["general forms", "ann", "colon", "unit"]),
+                     label="kind")
+    if kind == "general forms":
+        degrees = data.draw(st.lists(st.integers(1, 3 if n < 5 else 2),
+                                     min_size=n, max_size=n + 2), label="degrees")
+        return general_forms(ring, degrees, stream)
+    if kind == "ann":
+        s = data.draw(st.integers(1, ORACLE_TOP[n] if n > 1 else 6), label="s")
+        return annihilator_ideal(stream.forms([s] * data.draw(st.integers(1, 3),
+                                                              label="count")))
+    if kind == "colon":
+        powers = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n),
+                           label="powers")
+        c = GradedIdeal(ring, [ring.monomial(tuple(a if i == k else 0
+                                                   for i in range(n)))
+                               for k, a in enumerate(powers)])
+        extra = data.draw(st.lists(st.integers(1, 3), max_size=2), label="extra")
+        return ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms(extra)))
+    extra = data.draw(st.lists(st.integers(1, 3), max_size=2), label="extra")
+    return GradedIdeal(ring, [ring.monomial((0,) * n)] + stream.forms(extra))
+
+
+def ideal_rref(model, d):
+    """Canonical basis of I_d: the rref of the kernel of table(d)."""
+    return rref(kernel_basis(model.table(d)))[0].a
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_monomial_model_matches_oracle_model(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003]), label="p")
+    seed = data.draw(st.integers(1, 1000), label="seed")
+    ring = RingCtx(n, p)
+    ideal = draw_model_ideal(data, ring, FormStream(ring, seed))
+    model = QuotientBasis(ring, ideal.gens)
+    oracle = OracleQuotientBasis(ring, ideal.gens)
+    bound = ideal.artinian_bound()
+    for d in range(4 if bound is None else bound + 1):
+        assert model.dim(d) == oracle.dim(d)
+        assert model.socle_dim(d) == oracle.socle_dim(d)
+        assert np.array_equal(ideal_rref(model, d), ideal_rref(oracle, d))
+        table = model.table(d)
+        # x_k * (-) commutes with taking classes
+        for k in range(n):
+            xk = ring.mult_map(ring.variable(k + 1), d)
+            assert model.table(d + 1).matmul(xk) == model.mult(k, d).matmul(table)
+        if not model.dim(0):
+            continue  # the unit ideal: nothing is built
+        # the basis is a set of monomials, closed under division
+        std = model._std[d]
+        assert np.array_equal(table.a[:, std], np.eye(model.dim(d), dtype=np.int64))
+        if d:
+            expo = ring.exponents(d)[std]
+            below = set(model._std[d - 1].tolist())
+            for k in range(n):
+                has = expo[:, k] > 0
+                divided = expo[has] - np.eye(n, dtype=np.int64)[k]
+                assert below.issuperset(ring.rank(divided).tolist())
+
+
+def test_model_eliminates_over_the_shadow(monkeypatch):
+    # every elimination of _build has at most min(n dim A_{d-1}, dim R_d)
+    # columns: one per distinct product of a basis monomial and a variable
+    ring = RingCtx(4, 32003)
+    ideal = general_forms(ring, (4, 4, 4, 4, 11), FormStream(ring, 1))
+    widths = []
+    true_kernel = engine._kernel
+    monkeypatch.setattr(engine, "_kernel",
+                        lambda m: widths.append(m.cols) or true_kernel(m))
+    model = QuotientBasis(ring, ideal.gens)
+    top = ideal.artinian_bound()
+    model.dim(top)
+    assert len(widths) == top
+    old = [ring.n * model.dim(d - 1) for d in range(1, top + 1)]
+    assert all(w <= min(o, ring.dim(d)) for d, (w, o) in enumerate(zip(widths, old), 1))
+    assert sum(widths) < sum(old) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_product_classes_match_the_product(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p")
+    seed = data.draw(st.integers(1, 1000), label="seed")
+    ring = RingCtx(n, p)
+    stream = FormStream(ring, seed)
+    degrees = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n + 1),
+                        label="degrees")
+    model = general_forms(ring, degrees, stream).quotient
+    e = data.draw(st.integers(0, 4), label="e")
+    g = stream.form(e)
+    if data.draw(st.booleans(), label="largest coefficients"):
+        g = HomogPoly(ring, e, np.where(g.coeffs, p - 1, 0))
+    d = data.draw(st.integers(0, 4), label="d")
+    chunk = data.draw(st.sampled_from([1, 7, engine._GATHER_CHUNK]), label="chunk")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_GATHER_CHUNK", chunk)
+        got = model.product_classes(g, d)
+    assert got == model.table(d + e).matmul(ring.mult_map(g, d))
 
 
 # --- minimal generators and socle ------------------------------------------
@@ -459,6 +618,14 @@ def test_verdict_requires_containment():
     b = general_forms(ring, (3, 3, 3), FormStream(ring, 2))
     with pytest.raises(NotContainedError):
         is_relatively_compressed(b, a)
+
+
+def test_verdict_refuses_unit_ideal():
+    # c : c is the unit ideal; R/I = 0 has no socle degree
+    ring = ring3()
+    c = general_forms(ring, (2, 2, 2), FormStream(ring, 1))
+    with pytest.raises(ParamError, match="unit ideal"):
+        is_relatively_compressed(ideal_quotient(c, c), c)
 
 
 # --- constructions ---------------------------------------------------------
