@@ -17,12 +17,12 @@ its class.
 Each GradedIdeal owns one QuotientBasis of its generators
 (GradedIdeal.quotient), shared by every reader of R/I; the generators
 are never changed after construction.  The degree up to which R/I is
-probed is the ideal's proven GradedIdeal.artinian_bound.  Colon ideals
-and annihilators find their generators through an incremental model
-that grows one generator at a time; the ideal they return carries that
-model as its quotient instead of building a second one.  The only other
-model is the incremental one of a partial ideal that picks a minimal
-generating set among given generators.
+probed is the ideal's proven GradedIdeal.artinian_bound.  Generators are
+picked in one place, QuotientBasis.sift, driven degree by degree by
+_sift_generators: colon ideals and annihilators sift their membership
+kernels, and return a minimally generated ideal carrying the sifting
+model as its quotient.  minimal_generators reads such an ideal's
+generators; only for any other ideal does it sift them in a model of its own.
 
 On top of that sit Hilbert functions, graded Betti numbers via the
 homology of the Koszul complex tensored with A, minimal generator
@@ -82,11 +82,12 @@ class GradedIdeal:
     """A homogeneous ideal given by fixed generators, with provenance data
     and the one model of R/I they define: built on first read, or handed
     over by the colon or annihilator computation that found the
-    generators."""
+    generators, which also marks them minimal."""
 
     def __init__(self, ring, gens, provenance=None):
         self.ring = ring
         self.gens = list(gens)
+        self.minimal = False  # the gens are a minimal generating set
         for g in self.gens:
             if g.is_zero():
                 raise ParamError("zero generator")
@@ -188,15 +189,16 @@ class QuotientBasis:
       sifting and _require_contained) reads only dimensions, ranks and
       kernels, which do not depend on the basis.
 
-    Generators can also be fed in incrementally with add_generator, as
-    long as each arrives before its degree is built; this is how colon
-    ideals and annihilators assemble their output while measuring it.
+    sift adds generators in the top degree built, in place; its docstring
+    proves that the result is the model a fresh build would give.
     """
 
     def __init__(self, ring, gens=()):
         self.ring = ring
         self.gens_by_degree = {}
-        self._unit = False
+        for g in gens:
+            self.gens_by_degree.setdefault(g.degree, []).append(g)
+        self._unit = 0 in self.gens_by_degree
         self._dims = {0: 1}
         # _std[d]: positions in R_d of the monomials whose classes are the
         # basis of A_d
@@ -208,25 +210,6 @@ class QuotientBasis:
         self._top = 0
         # _socle[d]: dim of the socle of A in degree d, read from A_d and A_{d+1}
         self._socle = {}
-        for g in gens:
-            self.add_generator(g)
-
-    def add_generator(self, g):
-        # the socle dims of degrees >= deg g - 1 read degree deg g
-        self._socle = {d: k for d, k in self._socle.items() if d < g.degree - 1}
-        if g.degree == 0:
-            self._unit = True
-            return
-        if g.degree <= self._top:
-            # drop everything from the generator's degree on and rebuild lazily
-            for d in range(g.degree, self._top + 1):
-                del self._dims[d]
-                del self._table[d]
-                self._std.pop(d, None)
-                for k in range(self.ring.n):
-                    self._mult.pop((k, d - 1), None)
-            self._top = g.degree - 1
-        self.gens_by_degree.setdefault(g.degree, []).append(g)
 
     def dim(self, d):
         if d < 0 or self._unit:
@@ -237,12 +220,11 @@ class QuotientBasis:
 
     def mult(self, k, d):
         """Multiplication by x_{k+1} as a matrix A_d -> A_{d+1} (k 0-based)."""
-        rows = self.dim(d + 1)
-        key = (k, d)
-        if self._unit or key not in self._mult:
+        rows = self.dim(d + 1)  # builds degree d + 1
+        if self._unit or (k, d) not in self._mult:
             # source or target is zero
             return PrimeMatrix.zeros(rows, self.dim(d), self.ring.p)
-        return self._mult[key]
+        return self._mult[(k, d)]
 
     def socle_dim(self, d):
         """Dimension of the socle of A in degree d: the common kernel of
@@ -256,9 +238,7 @@ class QuotientBasis:
 
     def table(self, d):
         if self._unit:
-            return PrimeMatrix(
-                np.zeros((0, self.ring.dim(d)), dtype=np.int64), self.ring.p
-            )
+            return PrimeMatrix.zeros(0, self.ring.dim(d), self.ring.p)
         self.dim(d)
         return self._table[d]
 
@@ -267,24 +247,55 @@ class QuotientBasis:
         t = self.table(f.degree)
         return t.matmul(PrimeMatrix(f.coeffs.reshape(-1, 1), self.ring.p)).a.ravel()
 
-    def reduce_rows(self, vectors, d):
-        """Classes of row vectors (coefficients in R_d); rows of the result."""
-        t = self.table(d)
-        v = PrimeMatrix(np.asarray(vectors, dtype=np.int64), self.ring.p)
-        return PrimeMatrix(t.matmul(PrimeMatrix(v.a.T, self.ring.p)).a.T, self.ring.p)
+    def sift(self, rows, d):
+        """Add as generators the rows (coefficient vectors in R_d, d not below
+        the top degree built) whose classes are independent of those of the rows
+        before them; returns their indices, the row rank profile of
+        table(d) rows^T.  With K the kept classes, Pi the kernel basis of
+        K^T and free its free columns, A_d is quotiented in place: _std[d],
+        table(d) and mult(k, d - 1) become _std[d][free], Pi table(d) and
+        Pi mult(k, d - 1), the arrays a fresh build gives.  Proof: table(d)
+        writes a form as its normal form on the standard monomials, which
+        keeps a standard leading monomial.  So the new initial ideal in
+        degree d adds the leading monomials of span(K): the pivot columns of
+        K^T, whose columns are _std[d] in descending degrevlex order.  The
+        free ones are the new standard monomials; on them every class is
+        unique, so table(d) and mult(k, d - 1) are too, and Pi (the identity
+        on the free columns) maps old classes to new ones.  A kept row in
+        degree 0 makes I the unit ideal."""
+        if d < self._top:
+            raise InternalError("degree %d lies below the degrees built" % d)
+        classes = self.table(d).matmul(PrimeMatrix(np.asarray(rows).T, self.ring.p))
+        kept = rref(classes)[1]
+        if kept and d == 0:
+            self._unit = True
+        elif kept:
+            pi, free = _kernel(PrimeMatrix._trusted(classes.a[:, kept].T, classes.p))
+            self._dims[d] = free.size
+            self._std[d] = self._std[d][free]
+            self._table[d] = pi.matmul(self._table[d])
+            for k in range(self.ring.n):
+                self._mult[(k, d - 1)] = pi.matmul(self._mult[(k, d - 1)])
+        for e in (d - 1, d):  # the socle dims that read A_d
+            self._socle.pop(e, None)
+        return kept
 
     def product_classes(self, g, d):
         """Classes in A of g*m for every monomial m of R_d, as the columns of
         a matrix: table(d + deg g) @ ring.mult_map(g, d), gathered from the
-        table instead of multiplied.  Each term is reduced before the sum,
-        which therefore stays inside int64 for any p below 2**31."""
+        table instead of multiplied.  The sum over the nz terms of g is
+        reduced once when nz (p - 1)**2 < 2**63, the bound of
+        PrimeMatrix.matmul; above it each term is reduced first, which keeps
+        the sum inside int64 for any p below 2**31."""
         p, nz = self.ring.p, g.coeffs.nonzero()[0]
         t = self.table(d + g.degree).a
         idx, c = self.ring.sum_index(d, g.degree)[:, nz], g.coeffs[nz]
+        once = nz.size * (p - 1) ** 2 < 2**63
         out = np.empty((t.shape[0], idx.shape[0]), dtype=np.int64)
         step = max(1, _GATHER_CHUNK // idx.size)
         for i in range(0, t.shape[0], step):
-            out[i:i + step] = (t[i:i + step, idx] * c % p).sum(axis=2) % p
+            terms = t[i:i + step, idx] * c
+            out[i:i + step] = (terms if once else terms % p).sum(axis=2) % p
         return PrimeMatrix._trusted(out, p)
 
     def _build(self, d):
@@ -465,35 +476,15 @@ def betti_numbers(ideal):
     return BettiTable(beta)
 
 
-def _minimal_generator_list(ideal):
-    """A minimal generating set chosen from the given generators.
-
-    Processes the generators in degree order through an incrementally
-    built quotient; a generator is kept in degree d exactly when its class
-    modulo the lower-degree part is nonzero and independent of the classes
-    of the peers kept before it.
-    """
-    ring = ideal.ring
-    qb = QuotientBasis(ring)
-    by_degree = {}
-    for g in ideal.gens:
-        by_degree.setdefault(g.degree, []).append(g)
-    chosen = []
-    for d in sorted(by_degree):
-        if qb.dim(d) == 0:
-            break
-        vecs = np.array([qb.reduce(g) for g in by_degree[d]])
-        # pivots of the transposed matrix index independent generators
-        _, pivots = rref(PrimeMatrix(vecs.T, ring.p))
-        chosen.extend(by_degree[d][idx] for idx in pivots)
-        for g in by_degree[d]:
-            qb.add_generator(g)
-    return chosen
-
-
 def minimal_generators(ideal):
-    """Degrees and counts of a minimal generating set of the ideal."""
-    return sorted(Counter(g.degree for g in _minimal_generator_list(ideal)).items())
+    """Degrees and counts of a minimal generating set of the ideal: its
+    generators when they are minimal, else those the sieve keeps."""
+    if not ideal.minimal:
+        gens = ideal.gens
+        ideal = _sift_generators(
+            ideal.ring, sorted({g.degree for g in gens}),
+            lambda d: (np.array([g.coeffs for g in gens if g.degree == d]), None), None)
+    return sorted(Counter(g.degree for g in ideal.gens).items())
 
 
 @dataclass
@@ -541,42 +532,35 @@ def _require_contained(c, ideal, role):
                 % (g.degree, role))
 
 
-def _sift_generators(ring, degrees, blocks, provenance):
-    """The ideal whose degree d piece is the joint kernel of the matrices
-    blocks(d) (all of R_d when there are none: the kernel of a matrix with
-    no rows is the identity), with generators found degree by degree.
-
-    The kernel is sifted through an incrementally built quotient of the
-    generators found so far: a kernel row becomes a generator when its
-    class there is independent of the classes of its predecessors.  Stops
-    at the first degree where that quotient vanishes.  The returned
-    ideal's quotient is that incremental model: it holds the same
-    per-degree generator lists as a fresh QuotientBasis of the generators,
-    every degree it still caches was built from them, and the degrees a
-    late generator invalidated are rebuilt lazily.
-    """
+def _sift_generators(ring, degrees, candidates, provenance):
+    """The ideal generated by the rows of candidates(d), d in degrees, its
+    generators picked by QuotientBasis.sift in a model of those kept so
+    far.  candidates(d) gives the rows and the dim A_d they leave (None:
+    unknown); given one, the rows are sifted only when they add generators
+    and any other dim raises InternalError.  Stops where the model
+    vanishes; the ideal is marked minimal and carries the model."""
     build = QuotientBasis(ring)
     gens = []
     for d in degrees:
-        bdim = build.dim(d)
-        if bdim == 0:
+        if build.dim(d) == 0:
             break
-        ker = kernel_basis(stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + blocks(d)))
-        want = ker.rows - (ring.dim(d) - bdim)
-        if want < 0:
+        rows, target = candidates(d)
+        if target is None or build.dim(d) > target:
+            gens.extend(HomogPoly(ring, d, rows[i]) for i in build.sift(rows, d))
+        if target is not None and build.dim(d) != target:
             raise InternalError("inconsistent quotient dimensions in degree %d" % d)
-        if want:
-            reduced = build.reduce_rows(ker.a, d)
-            # pivots of the transposed matrix index independent rows
-            _, pivots = rref(PrimeMatrix(reduced.a.T, ring.p))
-            for idx in pivots[:want]:
-                g = HomogPoly(ring, d, ker.a[idx])
-                gens.append(g)
-                build.add_generator(g)
     ideal = GradedIdeal(ring, gens, provenance)
+    ideal.minimal = True
     # complete now: it becomes the model GradedIdeal.quotient would build
     ideal.__dict__["quotient"] = build
     return ideal
+
+
+def _kernel_rows(ring, d, blocks):
+    """The joint kernel of the blocks in R_d (all of R_d when there are
+    none), as rows, and dim R_d minus its dimension."""
+    ker = kernel_basis(stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + blocks))
+    return ker.a, ring.dim(d) - ker.rows
 
 
 def ideal_quotient(c, ideal, cap=None):
@@ -594,9 +578,10 @@ def ideal_quotient(c, ideal, cap=None):
     if cap is None:
         cap = e + 1
 
-    def blocks(d):
+    def candidates(d):
         # R/c vanishes beyond degree e: no condition there
-        return [qc.product_classes(g, d) for g in ideal.gens if d + g.degree <= e]
+        return _kernel_rows(ring, d, [qc.product_classes(g, d)
+                                      for g in ideal.gens if d + g.degree <= e])
 
     prov = {
         "recipe": [
@@ -605,7 +590,7 @@ def ideal_quotient(c, ideal, cap=None):
             ideal.provenance.get("recipe"),
         ]
     }
-    colon = _sift_generators(ring, range(cap + 1), blocks, prov)
+    colon = _sift_generators(ring, range(cap + 1), candidates, prov)
     if cap < e + 1 and colon.quotient.dim(cap) != 0:
         raise CapError("generators may exist beyond degree %d" % cap)
     return colon
@@ -626,7 +611,8 @@ def annihilator_ideal(f_list):
     smax = max(f.degree for f in f_list)
     return _sift_generators(
         ring, range(1, smax + 2),
-        lambda d: [contraction_map(f, d) for f in f_list if f.degree >= d],
+        lambda d: _kernel_rows(ring, d, [contraction_map(f, d)
+                                         for f in f_list if f.degree >= d]),
         {"recipe": ["ann", len(f_list), smax]})
 
 
@@ -637,10 +623,8 @@ def perp_basis(c, j):
     A dual form F is perpendicular to c_j exactly when every generator
     of degree <= j contracts F to zero.
     """
-    ring = c.ring
-    ker = kernel_basis(stack([PrimeMatrix.zeros(0, ring.dim(j), ring.p)]
-                             + [contract_by_poly(g, j) for g in c.gens if g.degree <= j]))
-    return [HomogPoly(ring, j, row) for row in ker.a]
+    blocks = [contract_by_poly(g, j) for g in c.gens if g.degree <= j]
+    return [HomogPoly(c.ring, j, row) for row in _kernel_rows(c.ring, j, blocks)[0]]
 
 
 MEETS_CONJECTURED_BOUND = "MEETS_CONJECTURED_BOUND"
@@ -772,16 +756,20 @@ def betti_numbers_syzygy(ideal):
         raise NotArtinianError("oracle requires an Artinian quotient")
     s = hf.top_degree()
     beta = {(0, 0): 1}
-    # stage 1: minimal generators
-    mingens = _minimal_generator_list(ideal)
-    for g in mingens:
-        beta[(1, g.degree)] = beta.get((1, g.degree), 0) + 1
+    # stage 1: a given generator is minimal when it is a pivot past the
+    # span of the shifts of the minimal generators found before it
+    columns = []
+    for m in sorted({g.degree for g in ideal.gens}):
+        given = [(m, [g]) for g in ideal.gens if g.degree == m]
+        old = sum(ring.dim(m - d) for d, _ in columns)
+        _, pivots = rref(_stage_matrix(ring, [0], columns + given, m))
+        columns += [given[c - old] for c in pivots if c >= old]
+    beta.update(((1, d), k) for d, k in Counter(d for d, _ in columns).items())
 
     # subsequent stages: kernel of column maps into the previous stage
     # a stage is a list of (degree, components) with components a list of
     # HomogPoly (or None for zero) targeting the previous stage's degrees
     target_degrees = [0]
-    columns = [(g.degree, [g]) for g in mingens]
     for i in range(2, n + 2):
         target_degrees, columns, found = _syzygy_stage(
             ring, target_degrees, columns, s + i

@@ -1,11 +1,12 @@
 """Exact engine: quotient algebras, linkage, inverse systems, verdicts."""
 
+import copy
 import functools
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from relcomp import engine
 from relcomp.betti import BettiTable, ghost_classify, koszul_shape
@@ -167,26 +168,70 @@ def test_unit_ideal_model_maps_are_zero():
     assert qb.socle_dim(0) == 0
 
 
-@settings(max_examples=30, deadline=None)
+def draw_sift_rows(data, ring, stream, d, gens):
+    """Rows to sift into degree d, redundant ones included: general forms
+    (the constant 1 in degree 0), a combination of earlier rows, x_1 times
+    a generator of degree d - 1 and a zero row, in a drawn order."""
+    p = ring.p
+    if d == 0:
+        rows = [ring.monomial((0,) * ring.n).coeffs] * data.draw(
+            st.integers(0, 1), label="unit")
+    else:
+        rows = [f.coeffs for f in stream.forms([d] * data.draw(st.integers(0, 3),
+                                                                label="forms"))]
+    if rows:
+        a, b = data.draw(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)),
+                         label="combination")
+        rows.append((a * rows[0] + b * rows[-1]) % p)
+    rows += [(ring.variable(1) * g).coeffs for g in gens if g.degree == d - 1]
+    rows.append(np.zeros(ring.dim(d), dtype=np.int64))
+    order = data.draw(st.permutations(range(len(rows))), label="order")
+    return np.array([rows[i] for i in order])
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_socle_dims_follow_late_generators(data):
-    # a generator added after its degree was built drops the socle dims
-    # that read that degree
-    n = data.draw(st.integers(2, 4), label="n")
-    degrees = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n + 2),
-                        label="degrees")
+def test_sift_matches_a_fresh_model(data):
+    # sift quotients the top degree built in place: it keeps the row rank
+    # profile of the rows' classes, and the model it leaves is the one a
+    # fresh QuotientBasis of the kept generators builds
+    n = data.draw(st.integers(1, 5), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003]), label="p")
     seed = data.draw(st.integers(1, 1000), label="seed")
-    ring = RingCtx(n, 32003)
-    gens = FormStream(ring, seed).forms(degrees)
-    qb = QuotientBasis(ring, gens[:-1])
-    top = sum(sorted(degrees)[-n:])
-    before = [qb.socle_dim(d) for d in range(top + 1)]
-    qb.add_generator(gens[-1])
+    ring = RingCtx(n, p)
+    stream = FormStream(ring, seed)
+    top = data.draw(st.integers(0, 4 if n < 4 else 3), label="top")
+    model, gens = QuotientBasis(ring), []
+    for d in range(top + 1):
+        model.dim(d)
+        model.socle_dim(d - 1)  # a cached socle dim that reads A_d
+        rows = draw_sift_rows(data, ring, stream, d, gens)
+        # the oracle: a row is kept when adding it lowers dim A_d (a zero
+        # constant is left out, as a model takes any degree 0 generator as 1)
+        dims = [QuotientBasis(ring, gens + [HomogPoly(ring, d, r) for r in rows[:i]
+                                            if r.any()]).dim(d)
+                for i in range(len(rows) + 1)]
+        kept = model.sift(rows, d)
+        assert kept == [i for i in range(len(rows)) if dims[i + 1] < dims[i]]
+        gens += [HomogPoly(ring, d, rows[i]) for i in kept]
     fresh = QuotientBasis(ring, gens)
-    assert [qb.socle_dim(d) for d in range(top + 1)] == \
-        [fresh.socle_dim(d) for d in range(top + 1)]
-    assert before == [QuotientBasis(ring, gens[:-1]).socle_dim(d)
-                      for d in range(top + 1)]
+    for d in range(top + 2):
+        assert model.dim(d) == fresh.dim(d)
+        assert model.socle_dim(d) == fresh.socle_dim(d)
+        assert model.table(d) == fresh.table(d)
+        for k in range(n):
+            assert model.mult(k, d) == fresh.mult(k, d)
+        if fresh.dim(0):
+            assert np.array_equal(model._std[d], fresh._std[d])
+
+
+def test_sift_refuses_a_degree_below_the_top():
+    # the degrees above it were built from the A_d it would change
+    ring = ring3()
+    model = QuotientBasis(ring)
+    model.dim(3)
+    with pytest.raises(InternalError, match="below the degrees built"):
+        model.sift(np.array([ring.variable(1).coeffs]), 1)
 
 
 class OracleQuotientBasis(QuotientBasis):
@@ -328,18 +373,27 @@ def test_model_eliminates_over_the_shadow(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_product_classes_match_the_product(data):
-    n = data.draw(st.integers(1, 4), label="n")
-    p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p")
+    # below nz (p - 1)**2 < 2**63 (nz the nonzero terms of g) the sum is
+    # reduced once; above it, p = 2147483647 with nz >= 3, term by term
+    # (2 (p - 1)**2 = 2**63 - 2**34 + 8 is still below)
+    above = data.draw(st.booleans(), label="above the bound")
+    n = data.draw(st.integers(2 if above else 1, 4), label="n")
+    p = 2147483647 if above else data.draw(st.sampled_from([2, 3, 32003, 2147483647]),
+                                           label="p")
     seed = data.draw(st.integers(1, 1000), label="seed")
     ring = RingCtx(n, p)
     stream = FormStream(ring, seed)
     degrees = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n + 1),
                         label="degrees")
     model = general_forms(ring, degrees, stream).quotient
-    e = data.draw(st.integers(0, 4), label="e")
+    e = data.draw(st.integers(2, 4) if above else
+                  st.integers(0, 4 if p < 2**31 - 1 else 0), label="e")
     g = stream.form(e)
     if data.draw(st.booleans(), label="largest coefficients"):
         g = HomogPoly(ring, e, np.where(g.coeffs, p - 1, 0))
+    nz = int(np.count_nonzero(g.coeffs))
+    assume(nz >= 3 or not above)
+    assert (nz * (p - 1) ** 2 >= 2**63) == above
     d = data.draw(st.integers(0, 4), label="d")
     chunk = data.draw(st.sampled_from([1, 7, engine._GATHER_CHUNK]), label="chunk")
     with pytest.MonkeyPatch.context() as mp:
@@ -358,6 +412,85 @@ def test_minimal_generators_drops_redundant():
     x1 = ring.variable(1)
     ideal = GradedIdeal(ring, [f, x1 * f, stream.form(4)])
     assert minimal_generators(ideal) == [(2, 1), (4, 1)]
+
+
+def first_column(table):
+    return sorted((j, m) for (i, j), m in table.beta.items() if i == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_minimal_generators_match_both_betti_routes(data):
+    # redundant generators: g + x_1 h, x_k g, repeats, and general forms
+    # past the top degree of R/I, all in a drawn order
+    n = data.draw(st.integers(2, 3), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003]), label="p")
+    seed = data.draw(st.integers(1, 1000), label="seed")
+    ring = RingCtx(n, p)
+    stream = FormStream(ring, seed)
+    powers = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n),
+                       label="powers")
+    gens = [ring.monomial(tuple(a if i == k else 0 for i in range(n)))
+            for k, a in enumerate(powers)]
+    gens += stream.forms(data.draw(st.lists(st.integers(1, 3), max_size=2),
+                                   label="general forms"))
+    top = hilbert_function(GradedIdeal(ring, gens)).top_degree()
+    pick = st.sampled_from(gens)
+    redundant = []
+    for g, h in data.draw(st.lists(st.tuples(pick, pick), max_size=2), label="g + x_1 h"):
+        if g.degree == h.degree + 1:
+            redundant.append(g + ring.variable(1) * h)
+    for g, k in data.draw(st.lists(st.tuples(pick, st.integers(1, n)), max_size=2),
+                          label="x_k g"):
+        redundant.append(ring.variable(k) * g)
+    redundant += data.draw(st.lists(pick, max_size=2), label="repeats")
+    redundant += stream.forms(data.draw(st.lists(st.integers(top + 1, top + 2),
+                                                 max_size=2), label="past the top"))
+    every = gens + [g for g in redundant if not g.is_zero()]
+    order = data.draw(st.permutations(range(len(every))), label="order")
+    ideal = GradedIdeal(ring, [every[i] for i in order])
+    got = minimal_generators(ideal)
+    assert got == first_column(betti_numbers(ideal))
+    assert got == first_column(betti_numbers_syzygy(ideal))
+
+
+def test_minimal_generators_read_a_sifted_ideal(monkeypatch):
+    # a colon ideal or an annihilator is minimally generated by
+    # construction: its generators are read, nothing is eliminated
+    ring = ring3()
+    stream = FormStream(ring, 4)
+    c = general_forms(ring, (3, 3, 3), stream)
+    sifted = [annihilator_ideal(stream.forms([4, 4])),
+              ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2])))]
+    want = [first_column(betti_numbers(ideal)) for ideal in sifted]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("minimal_generators built or eliminated a matrix")
+
+    monkeypatch.setattr(QuotientBasis, "__init__", refuse)
+    for name in ("rref", "rank", "_kernel", "kernel_basis"):
+        monkeypatch.setattr(engine, name, refuse)
+    assert [minimal_generators(ideal) for ideal in sifted] == want
+
+
+@pytest.mark.parametrize("kind", ["ann", "colon"])
+def test_sieve_refuses_a_quotient_of_the_wrong_dimension(monkeypatch, kind):
+    # a sift that drops its last kept row leaves A_d one dimension too big
+    true_sift = QuotientBasis.sift
+
+    def dropping(self, rows, d):
+        kept = true_sift(copy.deepcopy(self), rows, d)
+        return [kept[i] for i in true_sift(self, rows[kept[:-1]], d)]
+
+    monkeypatch.setattr(QuotientBasis, "sift", dropping)
+    ring = ring3()
+    stream = FormStream(ring, 5)
+    with pytest.raises(InternalError, match="inconsistent quotient dimensions"):
+        if kind == "ann":
+            annihilator_ideal(stream.forms([4]))
+        else:
+            c = general_forms(ring, (3, 3, 3), stream)
+            ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2])))
 
 
 def test_socle_of_square_of_maximal_ideal():
