@@ -374,8 +374,9 @@ def test_model_eliminates_over_the_shadow(monkeypatch):
 @given(st.data())
 def test_product_classes_match_the_product(data):
     # below nz (p - 1)**2 < 2**63 (nz the nonzero terms of g) the sum is
-    # reduced once; above it, p = 2147483647 with nz >= 3, term by term
-    # (2 (p - 1)**2 = 2**63 - 2**34 + 8 is still below)
+    # reduced once, above it term by term; each side is drawn on purpose.
+    # p = 2147483647 is above for nz >= 3 and below for nz <= 2 (n = 2,
+    # e = 1: 2 (p - 1)**2 = 2**63 - 2**34 + 8, the largest once sum)
     above = data.draw(st.booleans(), label="above the bound")
     n = data.draw(st.integers(2 if above else 1, 4), label="n")
     p = 2147483647 if above else data.draw(st.sampled_from([2, 3, 32003, 2147483647]),
@@ -383,23 +384,49 @@ def test_product_classes_match_the_product(data):
     seed = data.draw(st.integers(1, 1000), label="seed")
     ring = RingCtx(n, p)
     stream = FormStream(ring, seed)
-    degrees = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n + 1),
-                        label="degrees")
+    if above:
+        # n forms of degree 2 or 3 cut out a complete intersection with
+        # A_k != 0 up to k = sum(a_i - 1) >= 2, so A_{d+e} is never zero
+        degrees = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n),
+                            label="degrees")
+        top = sum(degrees) - n
+        e = data.draw(st.integers(2, min(4, top)), label="e")
+        d = data.draw(st.integers(0, top - e), label="d")
+    else:
+        degrees = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n + 1),
+                            label="degrees")
+        e = data.draw(st.integers(0, 4), label="e")
+        d = data.draw(st.integers(0, 4), label="d")
     model = general_forms(ring, degrees, stream).quotient
-    e = data.draw(st.integers(2, 4) if above else
-                  st.integers(0, 4 if p < 2**31 - 1 else 0), label="e")
     g = stream.form(e)
     if data.draw(st.booleans(), label="largest coefficients"):
         g = HomogPoly(ring, e, np.where(g.coeffs, p - 1, 0))
     nz = int(np.count_nonzero(g.coeffs))
-    assume(nz >= 3 or not above)
-    assert (nz * (p - 1) ** 2 >= 2**63) == above
-    d = data.draw(st.integers(0, 4), label="d")
+    assume((nz * (p - 1) ** 2 >= 2**63) == above)
+    assert model.dim(d + e) or not above
     chunk = data.draw(st.sampled_from([1, 7, engine._GATHER_CHUNK]), label="chunk")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "_GATHER_CHUNK", chunk)
         got = model.product_classes(g, d)
     assert got == model.table(d + e).matmul(ring.mult_map(g, d))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_product_classes_on_either_side_of_the_bound(k):
+    # in R/(x_i + x_n : i < n), n = k + 1, every x_i with i < n is p - 1
+    # times x_n, so the class of g = (p - 1)(x_1 + ... + x_k) sums k terms
+    # (p - 1)**2: k = 2 is 2**63 - 2**34 + 8, the largest sum reduced once,
+    # and k = 3 would overflow int64 unless each term is reduced first
+    p = 2147483647
+    ring = RingCtx(k + 1, p)
+    xs = [ring.variable(i) for i in range(1, k + 2)]
+    model = QuotientBasis(ring, [x + xs[-1] for x in xs[:-1]])
+    g = functools.reduce(HomogPoly.__add__, xs[:-1]).scale(p - 1)
+    assert np.array_equal(model.table(1).a, [[p - 1] * k + [1]])
+    assert (k * (p - 1) ** 2 < 2**63) == (k == 2)
+    got = model.product_classes(g, 0)
+    assert got.a.tolist() == [[k]]
+    assert got == model.table(1).matmul(ring.mult_map(g, 0))
 
 
 # --- minimal generators and socle ------------------------------------------
