@@ -15,8 +15,6 @@ Fixture values are exact integers; a case passes only on exact agreement.
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .betti import (
     BettiTable,
     FreeModule,
@@ -42,6 +40,7 @@ from .engine import (
     socle,
 )
 from .errors import ParamError
+from .gfp import PrimeMatrix
 from .ring import FormStream, HomogPoly, RingCtx
 from .series import froberg_prediction
 
@@ -143,16 +142,12 @@ def link_general(ring, ci_degrees, gen_degrees, stream):
 def perp_picks(c, j, count, stream):
     """Random elements of the perpendicular space of c in dual degree j."""
     basis = perp_basis(c, j)
-    if not basis:
+    if not basis.rows:
         raise ParamError("the perpendicular space is zero in degree %d" % j)
-    ring = c.ring
     out = []
     while len(out) < count:
-        row = stream.coefficients(len(basis))
-        v = np.zeros(ring.dim(j), dtype=np.int64)
-        for coef, f in zip(row, basis):
-            v = (v + int(coef) * f.coeffs) % ring.p
-        f = HomogPoly(ring, j, v)
+        row = PrimeMatrix._trusted(stream.coefficients(basis.rows)[None, :], basis.p)
+        f = HomogPoly(c.ring, j, row.matmul(basis).a[0])
         if not f.is_zero():
             out.append(f)
     return out

@@ -4,9 +4,9 @@ Ground-truth computations on concrete graded ideals over GF(p).
 The central object is QuotientBasis, an incremental model of the graded
 algebra A = R/I.  Instead of row-reducing the (large) span of I inside
 each R_d, the degree d piece of A is built on the distinct products x_k*b
-of a variable and a basis monomial b of A_{d-1}: A_d is their span modulo
-the commutation relations x_j*(x_k*b) = x_k*(x_j*b) and the images of
-the degree d generators.  The basis monomials are the degree reverse
+of a variable and a basis monomial b of A_{d-1}: their span modulo the
+commutation relations x_j*(x_k*b) = x_k*(x_j*b), which the degree d
+generators then quotient.  The basis monomials are the degree reverse
 lexicographic standard monomials of I, so the products are their upper
 shadow: at most min(n * dim A_{d-1}, dim R_d) columns, which for Artinian
 quotients stays small even when dim R_d is in the thousands.  The
@@ -17,12 +17,12 @@ its class.
 Each GradedIdeal owns one QuotientBasis of its generators
 (GradedIdeal.quotient), shared by every reader of R/I; the generators
 are never changed after construction.  The degree up to which R/I is
-probed is the ideal's proven GradedIdeal.artinian_bound.  Generators are
-picked in one place, QuotientBasis.sift, driven degree by degree by
-_sift_generators: colon ideals and annihilators sift their membership
-kernels, and return a minimally generated ideal carrying the sifting
-model as its quotient.  minimal_generators reads such an ideal's
-generators; only for any other ideal does it sift them in a model of its own.
+probed is the ideal's proven GradedIdeal.artinian_bound.  Every generator
+enters a model through QuotientBasis.sift, which records the ones it
+keeps (QuotientBasis.gens), a minimal generating set; minimal_generators
+reads them off the ideal's own model.  Colon ideals and annihilators sift
+their membership kernels degree by degree (_sift_generators) and return
+the kept generators with the sifting model as their quotient.
 
 On top of that sit Hilbert functions, graded Betti numbers via the
 homology of the Koszul complex tensored with A, minimal generator
@@ -82,12 +82,11 @@ class GradedIdeal:
     """A homogeneous ideal given by fixed generators, with provenance data
     and the one model of R/I they define: built on first read, or handed
     over by the colon or annihilator computation that found the
-    generators, which also marks them minimal."""
+    generators."""
 
     def __init__(self, ring, gens, provenance=None):
         self.ring = ring
         self.gens = list(gens)
-        self.minimal = False  # the gens are a minimal generating set
         for g in self.gens:
             if g.is_zero():
                 raise ParamError("zero generator")
@@ -154,43 +153,44 @@ class QuotientBasis:
     _std[d]: the standard monomials of I of degree d (those outside its
     initial ideal) for the degree reverse lexicographic order, the
     Macaulay basis of Cox, Little and O'Shea, Ideals, Varieties, and
-    Algorithms, section 5.3.  _build(d) finds them from degree d - 1 alone.
-    Proof, for S = _std[d - 1]:
+    Algorithms, section 5.3.  _build(d) finds them from degree d - 1 alone
+    for the ideal J generated in degrees < d (equal to I below degree d),
+    then sifts the degree d generators in.  Proof for J, S = _std[d - 1]:
 
     * R_1 (x) R_{d-1} -> R_d is onto, and its kernel is spanned by the
       Koszul relations x_j (x) x_k m - x_k (x) x_j m (R's Koszul complex
-      is exact in degree d >= 2).  Since I_d = R_1 I_{d-1} plus the span
-      of the degree d generators, A_d is the quotient of
-      V = R_1 (x) A_{d-1} (n * dim A_{d-1} dimensional) by the
+      is exact in degree d >= 2).  Since J_d = R_1 I_{d-1}, (R/J)_d is the
+      quotient of V = R_1 (x) A_{d-1} (n * dim A_{d-1} dimensional) by the
       commutation relations x_j (x_k b) - x_k (x_j b), b in a basis of
-      A_{d-2} (x_k m lies in I_{d-1} when m lies in I_{d-2}), and by
-      sum_k x_k (x) g_k for each degree d generator g = sum_k x_k g_k.
+      A_{d-2} (x_k m lies in I_{d-1} when m lies in I_{d-2}).
     * Multiplying out, mu: V -> span(M_d), x_k (x) b -> x_k b for b in S,
       onto the span of the distinct products M_d, is onto, and the map
-      V -> A_d is mu followed by taking classes.  So ker mu maps to 0 in
-      A_d, lies in the span of the relations, and
-      A_d = span(M_d) / mu(relations), with mu(relations) = I_d meet
+      V -> (R/J)_d is mu followed by taking classes.  So ker mu maps to 0
+      in (R/J)_d, lies in the span of the relations, and
+      (R/J)_d = span(M_d) / mu(relations), with mu(relations) = J_d meet
       span(M_d).  The free columns of its echelon form give a monomial
-      basis of A_d, and its kernel basis (the identity on them) gives the
-      class of every product, so mult(k, d - 1) is its columns at x_k S.
+      basis of (R/J)_d, and its kernel basis (the identity on them) gives
+      the class of every product, so mult(k, d - 1) is its columns at x_k S.
     * With the columns in descending degrevlex order, the pivot columns
-      are the leading monomials of I_d meet span(M_d), which lie in the
-      initial ideal.  Conversely, let S be the standard monomials of
+      are the leading monomials of J_d meet span(M_d), which lie in the
+      initial ideal of J.  Conversely, let S be the standard monomials of
       degree d - 1 (true for d = 1).  A divisor of a standard monomial is
-      standard, so every standard monomial of degree d lies in M_d, and it
-      is free.  A nonstandard m in M_d leads m - NF(m), which lies in I_d
-      and in span(M_d), since its normal form NF(m) is a combination of
-      smaller standard monomials; so m is a pivot.  The free columns are
-      therefore exactly the standard monomials of degree d.  They form an
-      order ideal, M_d is their upper shadow, and table(d) is the identity
-      on them.  A commutation row whose products x_k b and x_j b are both
-      standard vanishes, and zero rows are dropped before the elimination.
+      standard, so every standard monomial of J of degree d lies in M_d,
+      and it is free.  A nonstandard m in M_d leads m - NF(m), which lies
+      in J_d and in span(M_d), since its normal form NF(m) is a combination
+      of smaller standard monomials; so m is a pivot.  The free columns are
+      therefore exactly the standard monomials of J of degree d.  They form
+      an order ideal, M_d is their upper shadow, and table(d) is the
+      identity on them.  A commutation row whose products x_k b and x_j b
+      are both standard vanishes; zero rows are dropped before eliminating.
     * Every reader (hilbert_function, betti_numbers, socle_dim, the
       sifting and _require_contained) reads only dimensions, ranks and
       kernels, which do not depend on the basis.
 
-    sift adds generators in the top degree built, in place; its docstring
-    proves that the result is the model a fresh build would give.
+    Every generator enters through sift, a given one when its degree is
+    built (degree 0 on construction); sift proves that the result is the
+    model a fresh build gives.  gens records the generators sift keeps: a
+    minimal generating set of the ideal modelled, up to the top degree.
     """
 
     def __init__(self, ring, gens=()):
@@ -198,7 +198,7 @@ class QuotientBasis:
         self.gens_by_degree = {}
         for g in gens:
             self.gens_by_degree.setdefault(g.degree, []).append(g)
-        self._unit = 0 in self.gens_by_degree
+        self.gens = []  # the generators sift kept, in the order kept
         self._dims = {0: 1}
         # _std[d]: positions in R_d of the monomials whose classes are the
         # basis of A_d
@@ -210,9 +210,10 @@ class QuotientBasis:
         self._top = 0
         # _socle[d]: dim of the socle of A in degree d, read from A_d and A_{d+1}
         self._socle = {}
+        self._sift_given(0)
 
     def dim(self, d):
-        if d < 0 or self._unit:
+        if d < 0:
             return 0
         while self._top < d:
             self._build(self._top + 1)
@@ -221,7 +222,7 @@ class QuotientBasis:
     def mult(self, k, d):
         """Multiplication by x_{k+1} as a matrix A_d -> A_{d+1} (k 0-based)."""
         rows = self.dim(d + 1)  # builds degree d + 1
-        if self._unit or (k, d) not in self._mult:
+        if (k, d) not in self._mult:
             # source or target is zero
             return PrimeMatrix.zeros(rows, self.dim(d), self.ring.p)
         return self._mult[(k, d)]
@@ -237,8 +238,6 @@ class QuotientBasis:
         return self._socle[d]
 
     def table(self, d):
-        if self._unit:
-            return PrimeMatrix.zeros(0, self.ring.dim(d), self.ring.p)
         self.dim(d)
         return self._table[d]
 
@@ -261,24 +260,29 @@ class QuotientBasis:
         K^T, whose columns are _std[d] in descending degrevlex order.  The
         free ones are the new standard monomials; on them every class is
         unique, so table(d) and mult(k, d - 1) are too, and Pi (the identity
-        on the free columns) maps old classes to new ones.  A kept row in
-        degree 0 makes I the unit ideal."""
+        on the free columns) maps old classes to new ones.  In degree 0
+        there is no mult(k, -1); a kept row leaves A_0 = 0, and every later
+        degree builds empty.  The kept rows are appended to gens."""
         if d < self._top:
             raise InternalError("degree %d lies below the degrees built" % d)
         classes = self.table(d).matmul(PrimeMatrix(np.asarray(rows).T, self.ring.p))
         kept = rref(classes)[1]
-        if kept and d == 0:
-            self._unit = True
-        elif kept:
+        if kept:
             pi, free = _kernel(PrimeMatrix._trusted(classes.a[:, kept].T, classes.p))
             self._dims[d] = free.size
             self._std[d] = self._std[d][free]
             self._table[d] = pi.matmul(self._table[d])
-            for k in range(self.ring.n):
+            for k in range(self.ring.n if d else 0):
                 self._mult[(k, d - 1)] = pi.matmul(self._mult[(k, d - 1)])
+            self.gens += [HomogPoly(self.ring, d, rows[i]) for i in kept]
         for e in (d - 1, d):  # the socle dims that read A_d
             self._socle.pop(e, None)
         return kept
+
+    def _sift_given(self, d):
+        """Sift the given generators of degree d, the top degree built."""
+        if d in self.gens_by_degree:
+            self.sift(np.array([g.coeffs for g in self.gens_by_degree[d]]), d)
 
     def product_classes(self, g, d):
         """Classes in A of g*m for every monomial m of R_d, as the columns of
@@ -302,7 +306,6 @@ class QuotientBasis:
         ring = self.ring
         n, p = ring.n, ring.p
         a2 = self._dims.get(d - 2, 0)
-        gens_d = self.gens_by_degree.get(d, [])
         # columns: the distinct products x_k * b, b in _std[d - 1], in
         # descending degrevlex order (lexsort keys the last exponent first);
         # pos[i, k] is the column of x_{k+1} * _std[d - 1][i]
@@ -320,19 +323,8 @@ class QuotientBasis:
                 blk[:, pos[:, j]] = mults[k]
                 blk[:, pos[:, k]] -= mults[j]
                 rels.append(blk)
-        # images of the new generators: g = sum_k x_k g_k with g_k read off
-        # by stripping the first variable of each monomial
-        prev_table = self._table[d - 1]
-        strips = ring.strip(d)
-        if gens_d:
-            coeffs = np.array([g.coeffs for g in gens_d])
-            blk = np.zeros((len(gens_d), keys.size), dtype=np.int64)
-            for k, (cols, prev) in enumerate(strips):
-                blk[:, pos[:, k]] += PrimeMatrix._trusted(coeffs[:, cols], p).matmul(
-                    PrimeMatrix._trusted(prev_table.a[:, prev].T, p)).a
-            rels.append(blk)
         rels = np.vstack(rels) % p
-        # vred: coordinates of every product in the basis of A_d
+        # vred: coordinates of every product in the basis of (R/J)_d
         ker, free = _kernel(PrimeMatrix._trusted(rels[rels.any(axis=1)], p))
         vred = ker.a
         ad = vred.shape[0]
@@ -341,13 +333,15 @@ class QuotientBasis:
         for k in range(n):
             self._mult[(k, d - 1)] = PrimeMatrix._trusted(vred[:, pos[:, k]], p)
         # monomial reduction table for degree d
+        prev_table = self._table[d - 1]
         table = np.zeros((ad, ring.dim(d)), dtype=np.int64)
         if ad:
-            for k, (cols, prev) in enumerate(strips):
+            for k, (cols, prev) in enumerate(ring.strip(d)):
                 sub = PrimeMatrix._trusted(prev_table.a[:, prev], p)
                 table[:, cols] = self._mult[(k, d - 1)].matmul(sub).a
         self._table[d] = PrimeMatrix._trusted(table, p)
         self._top = d
+        self._sift_given(d)
 
 
 def hilbert_function(ideal, cap=None):
@@ -477,14 +471,11 @@ def betti_numbers(ideal):
 
 
 def minimal_generators(ideal):
-    """Degrees and counts of a minimal generating set of the ideal: its
-    generators when they are minimal, else those the sieve keeps."""
-    if not ideal.minimal:
-        gens = ideal.gens
-        ideal = _sift_generators(
-            ideal.ring, sorted({g.degree for g in gens}),
-            lambda d: (np.array([g.coeffs for g in gens if g.degree == d]), None), None)
-    return sorted(Counter(g.degree for g in ideal.gens).items())
+    """Degrees and counts of a minimal generating set of the ideal: the
+    generators its model keeps, built up to the top generator degree."""
+    qb = ideal.quotient
+    qb.dim(max(ideal.degrees(), default=0))
+    return sorted(Counter(g.degree for g in qb.gens).items())
 
 
 @dataclass
@@ -533,24 +524,21 @@ def _require_contained(c, ideal, role):
 
 
 def _sift_generators(ring, degrees, candidates, provenance):
-    """The ideal generated by the rows of candidates(d), d in degrees, its
-    generators picked by QuotientBasis.sift in a model of those kept so
-    far.  candidates(d) gives the rows and the dim A_d they leave (None:
-    unknown); given one, the rows are sifted only when they add generators
-    and any other dim raises InternalError.  Stops where the model
-    vanishes; the ideal is marked minimal and carries the model."""
+    """The ideal of the generators QuotientBasis.sift keeps, in one model,
+    from the rows of candidates(d), d in degrees, carrying that model.
+    candidates(d) gives the rows (a PrimeMatrix) and the dim A_d they
+    leave: they are sifted only when they add generators, and any other
+    dim raises InternalError.  Stops where the model vanishes."""
     build = QuotientBasis(ring)
-    gens = []
     for d in degrees:
         if build.dim(d) == 0:
             break
         rows, target = candidates(d)
-        if target is None or build.dim(d) > target:
-            gens.extend(HomogPoly(ring, d, rows[i]) for i in build.sift(rows, d))
-        if target is not None and build.dim(d) != target:
+        if build.dim(d) > target:
+            build.sift(rows.a, d)
+        if build.dim(d) != target:
             raise InternalError("inconsistent quotient dimensions in degree %d" % d)
-    ideal = GradedIdeal(ring, gens, provenance)
-    ideal.minimal = True
+    ideal = GradedIdeal(ring, build.gens, provenance)
     # complete now: it becomes the model GradedIdeal.quotient would build
     ideal.__dict__["quotient"] = build
     return ideal
@@ -558,9 +546,9 @@ def _sift_generators(ring, degrees, candidates, provenance):
 
 def _kernel_rows(ring, d, blocks):
     """The joint kernel of the blocks in R_d (all of R_d when there are
-    none), as rows, and dim R_d minus its dimension."""
+    none), as the rows of a PrimeMatrix, and dim R_d minus its dimension."""
     ker = kernel_basis(stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + blocks))
-    return ker.a, ring.dim(d) - ker.rows
+    return ker, ring.dim(d) - ker.rows
 
 
 def ideal_quotient(c, ideal, cap=None):
@@ -618,13 +606,13 @@ def annihilator_ideal(f_list):
 
 def perp_basis(c, j):
     """Basis of the perpendicular of the degree j piece of an ideal,
-    inside the dual space of degree j forms.
+    inside the dual space of degree j forms, as the rows of a PrimeMatrix.
 
     A dual form F is perpendicular to c_j exactly when every generator
     of degree <= j contracts F to zero.
     """
     blocks = [contract_by_poly(g, j) for g in c.gens if g.degree <= j]
-    return [HomogPoly(c.ring, j, row) for row in _kernel_rows(c.ring, j, blocks)[0]]
+    return _kernel_rows(c.ring, j, blocks)[0]
 
 
 MEETS_CONJECTURED_BOUND = "MEETS_CONJECTURED_BOUND"

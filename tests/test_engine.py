@@ -3,6 +3,7 @@
 import copy
 import functools
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -206,10 +207,8 @@ def test_sift_matches_a_fresh_model(data):
         model.dim(d)
         model.socle_dim(d - 1)  # a cached socle dim that reads A_d
         rows = draw_sift_rows(data, ring, stream, d, gens)
-        # the oracle: a row is kept when adding it lowers dim A_d (a zero
-        # constant is left out, as a model takes any degree 0 generator as 1)
-        dims = [QuotientBasis(ring, gens + [HomogPoly(ring, d, r) for r in rows[:i]
-                                            if r.any()]).dim(d)
+        # the oracle: a row is kept when adding it lowers dim A_d
+        dims = [QuotientBasis(ring, gens + [HomogPoly(ring, d, r) for r in rows[:i]]).dim(d)
                 for i in range(len(rows) + 1)]
         kept = model.sift(rows, d)
         assert kept == [i for i in range(len(rows)) if dims[i + 1] < dims[i]]
@@ -221,8 +220,15 @@ def test_sift_matches_a_fresh_model(data):
         assert model.table(d) == fresh.table(d)
         for k in range(n):
             assert model.mult(k, d) == fresh.mult(k, d)
-        if fresh.dim(0):
-            assert np.array_equal(model._std[d], fresh._std[d])
+        assert np.array_equal(model._std[d], fresh._std[d])
+
+
+def test_a_zero_constant_is_not_the_unit_ideal():
+    # a degree 0 generator enters through sift like any other: only a
+    # nonzero constant quotients A_0 to 0
+    r = RingCtx(1, 2)
+    assert QuotientBasis(r, [HomogPoly(r, 0, np.zeros(1, dtype=np.int64))]).dim(0) == 1
+    assert QuotientBasis(r, [r.monomial((0,))]).dim(0) == 0
 
 
 def test_sift_refuses_a_degree_below_the_top():
@@ -237,8 +243,15 @@ def test_sift_refuses_a_degree_below_the_top():
 class OracleQuotientBasis(QuotientBasis):
     """The model with an abstract basis: A_d as the quotient of
     x_1*A_{d-1} + ... + x_n*A_{d-1} (n * dim A_{d-1} columns) by the
-    commutation relations and the generator images.  The reference for
-    the monomial-basis model, which must describe the same algebra."""
+    commutation relations and the generator images, eliminated here rather
+    than sifted.  The reference for the monomial-basis model, which must
+    describe the same algebra."""
+
+    def _sift_given(self, d):
+        # called for degree 0 only: a nonzero constant leaves A_0 = 0
+        if any(g.coeffs.any() for g in self.gens_by_degree.get(d, [])):
+            self._dims[0] = 0
+            self._table[0] = PrimeMatrix.zeros(0, 1, self.ring.p)
 
     def _build(self, d):
         ring = self.ring
@@ -338,8 +351,6 @@ def test_monomial_model_matches_oracle_model(data):
         for k in range(n):
             xk = ring.mult_map(ring.variable(k + 1), d)
             assert model.table(d + 1).matmul(xk) == model.mult(k, d).matmul(table)
-        if not model.dim(0):
-            continue  # the unit ideal: nothing is built
         # the basis is a set of monomials, closed under division
         std = model._std[d]
         assert np.array_equal(table.a[:, std], np.eye(model.dim(d), dtype=np.int64))
@@ -355,12 +366,18 @@ def test_monomial_model_matches_oracle_model(data):
 def test_model_eliminates_over_the_shadow(monkeypatch):
     # every elimination of _build has at most min(n dim A_{d-1}, dim R_d)
     # columns: one per distinct product of a basis monomial and a variable
+    # (the kernels sift takes of the generator classes are not counted)
     ring = RingCtx(4, 32003)
     ideal = general_forms(ring, (4, 4, 4, 4, 11), FormStream(ring, 1))
     widths = []
     true_kernel = engine._kernel
-    monkeypatch.setattr(engine, "_kernel",
-                        lambda m: widths.append(m.cols) or true_kernel(m))
+
+    def kernel(m):
+        if sys._getframe(1).f_code is QuotientBasis._build.__code__:
+            widths.append(m.cols)
+        return true_kernel(m)
+
+    monkeypatch.setattr(engine, "_kernel", kernel)
     model = QuotientBasis(ring, ideal.gens)
     top = ideal.artinian_bound()
     model.dim(top)
@@ -482,14 +499,19 @@ def test_minimal_generators_match_both_betti_routes(data):
 
 
 def test_minimal_generators_read_a_sifted_ideal(monkeypatch):
-    # a colon ideal or an annihilator is minimally generated by
-    # construction: its generators are read, nothing is eliminated
+    # every ideal's model records the generators its sieve kept: for a
+    # colon ideal or an annihilator (minimally generated by construction)
+    # and for given generators whose model betti_numbers built, they are
+    # read, and nothing is built or eliminated
     ring = ring3()
     stream = FormStream(ring, 4)
     c = general_forms(ring, (3, 3, 3), stream)
+    f = stream.form(2)
     sifted = [annihilator_ideal(stream.forms([4, 4])),
-              ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2])))]
+              ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2]))),
+              GradedIdeal(ring, [f, ring.variable(1) * f] + stream.forms([3, 4]))]
     want = [first_column(betti_numbers(ideal)) for ideal in sifted]
+    assert want[-1] == [(2, 1), (3, 1), (4, 1)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("minimal_generators built or eliminated a matrix")
@@ -509,15 +531,21 @@ def test_sieve_refuses_a_quotient_of_the_wrong_dimension(monkeypatch, kind):
         kept = true_sift(copy.deepcopy(self), rows, d)
         return [kept[i] for i in true_sift(self, rows[kept[:-1]], d)]
 
-    monkeypatch.setattr(QuotientBasis, "sift", dropping)
     ring = ring3()
     stream = FormStream(ring, 5)
+    if kind == "ann":
+        run = functools.partial(annihilator_ideal, stream.forms([4]))
+    else:
+        # the models of c and of the linked ideal sift their given
+        # generators too: they are built before the fault is injected
+        c = general_forms(ring, (3, 3, 3), stream)
+        linked = GradedIdeal(ring, c.gens + stream.forms([2]))
+        hilbert_function(c)
+        linked.quotient.dim(3)
+        run = functools.partial(ideal_quotient, c, linked)
+    monkeypatch.setattr(QuotientBasis, "sift", dropping)
     with pytest.raises(InternalError, match="inconsistent quotient dimensions"):
-        if kind == "ann":
-            annihilator_ideal(stream.forms([4]))
-        else:
-            c = general_forms(ring, (3, 3, 3), stream)
-            ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2])))
+        run()
 
 
 def test_socle_of_square_of_maximal_ideal():
@@ -751,11 +779,11 @@ def test_perp_basis_dimensions():
     ring = ring3()
     stream = FormStream(ring, 1)
     cideal = general_forms(ring, (4, 4, 4), stream)
-    assert len(perp_basis(cideal, 8)) == 3
+    assert perp_basis(cideal, 8).rows == 3
     full = variables_ideal(ring)
-    assert perp_basis(full, 1) == []
+    assert perp_basis(full, 1).rows == 0
     empty = GradedIdeal(ring, [stream.form(9)])
-    assert len(perp_basis(empty, 2)) == ring.dim(2)
+    assert perp_basis(empty, 2).rows == ring.dim(2)
 
 
 # --- compression verdicts --------------------------------------------------
