@@ -25,7 +25,7 @@ twists in consecutive modules ("ghost" terms) live here as well.
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InfeasibleError, ParamError, ParityError, RangeError, SplitError
 from .series import HilbertSeries, rational_series, rc_min_bound
@@ -382,7 +382,6 @@ class OddSocleShape:
     degrees: list
     alphas: dict
     y_names: list
-    hf: HilbertSeries = field(repr=False)
 
     def evaluate(self, ys=None):
         ys = dict(ys or {})
@@ -435,8 +434,7 @@ def rc_gor_odd_shape(n, t, ci_degrees=()):
         raise ParamError("more CI degrees than variables")
     _, alphas = _gorenstein_shape(n, 2 * t + 1, degrees)
     return OddSocleShape(n=n, t=t, degrees=degrees, alphas=alphas,
-                         y_names=list(range(2, (n + 3) // 2)),
-                         hf=rc_min_bound(degrees, n, 2 * t + 1, 1))
+                         y_names=list(range(2, (n + 3) // 2)))
 
 
 def quadric_points_resolution(N):

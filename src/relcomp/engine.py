@@ -26,7 +26,8 @@ the kept generators with the sifting model as their quotient.
 
 On top of that sit Hilbert functions, graded Betti numbers via the
 homology of the Koszul complex tensored with A, minimal generator
-counts, socle profiles, colon ideals (linkage), inverse-system
+counts, socle profiles, links by a complete intersection c (read off the
+dual socle generator of the Gorenstein R/c, ideal_quotient), inverse-system
 annihilators, perpendicular spaces, and the relative-compression
 verdict.  A Koszul boundary rank is eliminated only when no theorem gives
 it: the end columns come from the dimensions and the socle of A, the strand
@@ -74,9 +75,6 @@ __all__ = [
     "general_element",
     "ci_in",
 ]
-
-_GATHER_CHUNK = 2**18  # entries of one product_classes gather
-
 
 class GradedIdeal:
     """A homogeneous ideal given by fixed generators, with provenance data
@@ -283,24 +281,6 @@ class QuotientBasis:
         """Sift the given generators of degree d, the top degree built."""
         if d in self.gens_by_degree:
             self.sift(np.array([g.coeffs for g in self.gens_by_degree[d]]), d)
-
-    def product_classes(self, g, d):
-        """Classes in A of g*m for every monomial m of R_d, as the columns of
-        a matrix: table(d + deg g) @ ring.mult_map(g, d), gathered from the
-        table instead of multiplied.  The sum over the nz terms of g is
-        reduced once when nz (p - 1)**2 < 2**63, the bound of
-        PrimeMatrix.matmul; above it each term is reduced first, which keeps
-        the sum inside int64 for any p below 2**31."""
-        p, nz = self.ring.p, g.coeffs.nonzero()[0]
-        t = self.table(d + g.degree).a
-        idx, c = self.ring.sum_index(d, g.degree)[:, nz], g.coeffs[nz]
-        once = nz.size * (p - 1) ** 2 < 2**63
-        out = np.empty((t.shape[0], idx.shape[0]), dtype=np.int64)
-        step = max(1, _GATHER_CHUNK // idx.size)
-        for i in range(0, t.shape[0], step):
-            terms = t[i:i + step, idx] * c
-            out[i:i + step] = (terms if once else terms % p).sum(axis=2) % p
-        return PrimeMatrix._trusted(out, p)
 
     def _build(self, d):
         ring = self.ring
@@ -551,37 +531,47 @@ def _kernel_rows(ring, d, blocks):
     return ker, ring.dim(d) - ker.rows
 
 
-def ideal_quotient(c, ideal, cap=None):
-    """The colon ideal c : I, with generators found degree by degree up to
-    cap (default: one past the socle degree of R/c).
+def ideal_quotient(c, ideal):
+    """The colon ideal c : I by a complete intersection c, with generators
+    found degree by degree up to one past the socle degree e of R/c.
 
-    Membership of f in degree d is the vanishing of f*g_k in R/c for
-    every generator g_k of I; the kernel is then sifted for minimal
-    generators.
+    An Artinian ideal with n minimal generators is a complete intersection,
+    so R/c is Gorenstein (any other c raises ParamError): A_e is its socle,
+    and Phi = table(e), one row, is a functional on R_e vanishing exactly
+    on c_e.  For g in I of degree k <= e, g o Phi = (sum_b g_b Phi[r + b])_r
+    over R_{e-k} is Phi(x^r g), exactly in every characteristic.  The
+    pairing A_{d+k} x A_{e-k-d} -> A_e is perfect, so f in R_d has f g in c
+    exactly when Phi(h f g) = 0 for every h in R_{e-k-d}, and as Phi kills
+    c, standard monomials h suffice.  So the gather of g o Phi at h + f
+    has kernel (c : g)_d (no condition when d + k > e), and the blocks of
+    all g have the joint kernel (c : I)_d.  kernel_basis depends only on
+    that kernel (the rref of the row space it annihilates), so the sifted
+    generators are those of the product blocks table(d + k) g, bit for bit.
     """
-    ring = c.ring
+    ring, p = c.ring, c.ring.p
     qc, h_c = _artinian_quotient(c)
+    if len(qc.gens) != ring.n:
+        raise ParamError("the linking ideal has %d minimal generators, not %d: "
+                         "it is not a complete intersection" % (len(qc.gens), ring.n))
     e = h_c.top_degree()
     _require_contained(c, ideal, "linking")
-    if cap is None:
-        cap = e + 1
+
+    def contract(g):
+        # g o Phi: Phi's catalecticant R_k -> R_{e-k}^* applied to g
+        k = g.degree
+        cat = PrimeMatrix._trusted(qc.table(e).a[0][ring.sum_index(e - k, k)], p)
+        return k, cat.matmul(PrimeMatrix._trusted(g.coeffs[:, None], p)).a.ravel()
+
+    duals = [contract(g) for g in ideal.gens if g.degree <= e]
 
     def candidates(d):
-        # R/c vanishes beyond degree e: no condition there
-        return _kernel_rows(ring, d, [qc.product_classes(g, d)
-                                      for g in ideal.gens if d + g.degree <= e])
+        return _kernel_rows(ring, d, [
+            PrimeMatrix._trusted(f[ring.sum_index(e - k - d, d)[qc._std[e - k - d]]], p)
+            for k, f in duals if d + k <= e])
 
-    prov = {
-        "recipe": [
-            "quotient",
-            c.provenance.get("recipe"),
-            ideal.provenance.get("recipe"),
-        ]
-    }
-    colon = _sift_generators(ring, range(cap + 1), candidates, prov)
-    if cap < e + 1 and colon.quotient.dim(cap) != 0:
-        raise CapError("generators may exist beyond degree %d" % cap)
-    return colon
+    prov = {"recipe": ["quotient", c.provenance.get("recipe"),
+                       ideal.provenance.get("recipe")]}
+    return _sift_generators(ring, range(e + 2), candidates, prov)
 
 
 def annihilator_ideal(f_list):

@@ -121,7 +121,7 @@ def test_criterion_5_literal_quartic_list():
     ci = GradedIdeal(ring, [HomogPoly.parse(ring, t)
                             for t in CHAR2_QUARTIC_TEXTS])
     big = GradedIdeal(ring, ci.gens + [ring.variable(2)])
-    res = ideal_quotient(ci, big, cap=12)
+    res = ideal_quotient(ci, big)
     hf = hilbert_function(res, cap=12)
     assert hf.exact and hf.text() == "1 3 6 10 12 10 6 3 1"
 

@@ -1,5 +1,6 @@
 """Command line surface: recipes, subcommands, output formats."""
 
+import hashlib
 import json
 import os
 import re
@@ -181,6 +182,19 @@ def test_resolve_witness(tmp_path, capsys):
     ring = RingCtx(3, 32003)
     ideal = eval_recipe(parse_recipe("ci(2,2,2)"), ring, FormStream(ring, 7))
     assert [g.text() for g in ideal.gens] == data["generators"]
+
+
+@pytest.mark.parametrize("p, digest", [
+    ("32003", "a502b797fd9c792dd098ca13f2ac83961dbc114d8406839a7f7561e57691b736"),
+    ("2147483647", "50a4e14e2b8b4afdf11b1aa21cfbbe146b2f46b57e3e5e88171d3958c182cf81"),
+])
+def test_link_witness_is_pinned(tmp_path, capsys, p, digest):
+    # the generators a link prints, at a small modulus and at the largest
+    path = tmp_path / "w.json"
+    assert main(["resolve", "link(ci(4,4,4,11),general-forms(4,4,4,4,11))", "-n", "4",
+                 "-p", p, "--witness", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_resolve_refuses_infinite_quotient(capsys):

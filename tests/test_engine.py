@@ -387,65 +387,6 @@ def test_model_eliminates_over_the_shadow(monkeypatch):
     assert sum(widths) < sum(old) / 2
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_product_classes_match_the_product(data):
-    # below nz (p - 1)**2 < 2**63 (nz the nonzero terms of g) the sum is
-    # reduced once, above it term by term; each side is drawn on purpose.
-    # p = 2147483647 is above for nz >= 3 and below for nz <= 2 (n = 2,
-    # e = 1: 2 (p - 1)**2 = 2**63 - 2**34 + 8, the largest once sum)
-    above = data.draw(st.booleans(), label="above the bound")
-    n = data.draw(st.integers(2 if above else 1, 4), label="n")
-    p = 2147483647 if above else data.draw(st.sampled_from([2, 3, 32003, 2147483647]),
-                                           label="p")
-    seed = data.draw(st.integers(1, 1000), label="seed")
-    ring = RingCtx(n, p)
-    stream = FormStream(ring, seed)
-    if above:
-        # n forms of degree 2 or 3 cut out a complete intersection with
-        # A_k != 0 up to k = sum(a_i - 1) >= 2, so A_{d+e} is never zero
-        degrees = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n),
-                            label="degrees")
-        top = sum(degrees) - n
-        e = data.draw(st.integers(2, min(4, top)), label="e")
-        d = data.draw(st.integers(0, top - e), label="d")
-    else:
-        degrees = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n + 1),
-                            label="degrees")
-        e = data.draw(st.integers(0, 4), label="e")
-        d = data.draw(st.integers(0, 4), label="d")
-    model = general_forms(ring, degrees, stream).quotient
-    g = stream.form(e)
-    if data.draw(st.booleans(), label="largest coefficients"):
-        g = HomogPoly(ring, e, np.where(g.coeffs, p - 1, 0))
-    nz = int(np.count_nonzero(g.coeffs))
-    assume((nz * (p - 1) ** 2 >= 2**63) == above)
-    assert model.dim(d + e) or not above
-    chunk = data.draw(st.sampled_from([1, 7, engine._GATHER_CHUNK]), label="chunk")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_GATHER_CHUNK", chunk)
-        got = model.product_classes(g, d)
-    assert got == model.table(d + e).matmul(ring.mult_map(g, d))
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_product_classes_on_either_side_of_the_bound(k):
-    # in R/(x_i + x_n : i < n), n = k + 1, every x_i with i < n is p - 1
-    # times x_n, so the class of g = (p - 1)(x_1 + ... + x_k) sums k terms
-    # (p - 1)**2: k = 2 is 2**63 - 2**34 + 8, the largest sum reduced once,
-    # and k = 3 would overflow int64 unless each term is reduced first
-    p = 2147483647
-    ring = RingCtx(k + 1, p)
-    xs = [ring.variable(i) for i in range(1, k + 2)]
-    model = QuotientBasis(ring, [x + xs[-1] for x in xs[:-1]])
-    g = functools.reduce(HomogPoly.__add__, xs[:-1]).scale(p - 1)
-    assert np.array_equal(model.table(1).a, [[p - 1] * k + [1]])
-    assert (k * (p - 1) ** 2 < 2**63) == (k == 2)
-    got = model.product_classes(g, 0)
-    assert got.a.tolist() == [[k]]
-    assert got == model.table(1).matmul(ring.mult_map(g, 0))
-
-
 # --- minimal generators and socle ------------------------------------------
 
 
@@ -572,6 +513,57 @@ def test_quotient_requires_containment():
     b = general_forms(ring, (3, 3, 3), FormStream(ring, 2))
     with pytest.raises(NotContainedError):
         ideal_quotient(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_link_matches_the_product_definition(data):
+    # oracle: the membership blocks of the product definition, the classes
+    # of g*m in R/c for every generator g of J and monomial m of R_d; the
+    # generators sifted from them must be those of the link, array for array
+    n = data.draw(st.integers(1, 4), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p")
+    ring = RingCtx(n, p)
+    stream = FormStream(ring, data.draw(st.integers(1, 1000), label="seed"))
+    degrees = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n),
+                        label="c degrees")
+    if data.draw(st.booleans(), label="monomial c"):
+        c = GradedIdeal(ring, [ring.monomial(tuple(a if i == k else 0 for i in range(n)))
+                               for k, a in enumerate(degrees)])
+    else:
+        c = general_forms(ring, degrees, stream)
+    h_c = hilbert_function(c)
+    assume(h_c.exact)
+    extra = []
+    for k in data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2),
+                       label="extra degrees"):
+        f = stream.form(k)
+        if data.draw(st.booleans(), label="every coefficient p - 1"):
+            f = HomogPoly(ring, k, np.full(ring.dim(k), p - 1))
+        extra.append(f)
+    linked = GradedIdeal(ring, c.gens + extra)
+    got = ideal_quotient(c, linked)
+    e = h_c.top_degree()
+
+    def candidates(d):
+        return engine._kernel_rows(ring, d, [
+            c.quotient.table(d + g.degree).matmul(ring.mult_map(g, d))
+            for g in linked.gens if d + g.degree <= e])
+
+    want = engine._sift_generators(ring, range(e + 2), candidates, {})
+    assert [g.degree for g in got.gens] == [g.degree for g in want.gens]
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(got.gens, want.gens))
+
+
+def test_link_refuses_a_linking_ideal_that_is_not_a_complete_intersection():
+    # R/c for four general quadrics in three variables is 1 3 2, with a
+    # two-dimensional socle: it is Artinian but not Gorenstein
+    ring = ring3()
+    stream = FormStream(ring, 1)
+    c = general_forms(ring, (2, 2, 2, 2), stream)
+    assert hilbert_function(c).text() == "1 3 2" and socle(c).degrees == [2, 2]
+    with pytest.raises(ParamError, match="not a complete intersection"):
+        ideal_quotient(c, GradedIdeal(ring, c.gens + [ring.variable(1)]))
 
 
 def test_link_matches_hf_formula():
