@@ -371,6 +371,13 @@ def betti_numbers(ideal):
     * rank d_n(j) = dim A_e - dim soc(A)_e.  d_n sends a to
       (+-x_1 a, ..., +-x_n a), so its kernel is the common kernel of the
       variables on A_e, which is soc(A)_e.
+    * rank d_2(j) = n dim A_{e+1} - dim A_{e+2} - beta_{1,j}, the identity
+      for beta_{1,j} with rank d_1(j) = dim A_j.  beta_{1,j} = dim (I/mI)_j
+      counts the minimal generators of degree j (Eisenbud, The Geometry of
+      Syzygies, ch. 1).  sift keeps a degree j generator exactly when it is
+      independent of R_1 I_{j-1} and those kept before it, so qb.gens has
+      beta_{1,j} of degree j: none above s + 1, as R_{s+1} lies in I, and
+      the model is built to s + 1.  So for n <= 3 no rank is eliminated.
     * When dim A_{e+1} = dim R_{e+1}, I vanishes in degrees <= e + 1 (R is
       a domain), so d_i(j) is the map of R's Koszul complex in degree j.
       That complex resolves R/(x_1, ..., x_n) and j >= 1, so it is exact
@@ -392,8 +399,9 @@ def betti_numbers(ideal):
     n = ring.n
     qb, hf = _artinian_quotient(ideal)
     s = hf.top_degree()
-    adim = [qb.dim(d) for d in range(s + 2)]
+    adim = [qb.dim(d) for d in range(s + 2)] + [0]  # A_{s+2} = 0 too
     soc = [qb.socle_dim(d) for d in range(s + 1)]
+    beta1 = Counter(g.degree for g in qb.gens)
     gorenstein = sum(soc) == 1
 
     subsets = {i: list(itertools.combinations(range(n), i)) for i in range(n + 1)}
@@ -411,6 +419,8 @@ def betti_numbers(ideal):
             return adim[e + 1]
         if i == n:
             return adim[e] - soc[e]
+        if i == 2:
+            return n * adim[e + 1] - adim[e + 2] - beta1[j]
         if adim[e + 1] == ring.dim(e + 1):
             return sum((-1) ** (i - 1 - k) * math.comb(n, k) * ring.dim(j - k)
                        for k in range(i))

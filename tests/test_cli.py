@@ -197,6 +197,19 @@ def test_link_witness_is_pinned(tmp_path, capsys, p, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("p, digest", [
+    ("32003", "f3db5b57f101dc8fdc51f9e6faf2e39dcfd2d0cda4b6a49d6b84f54123297703"),
+    ("2147483647", "365d249560777b8487403e7e27dc9273d8484d0979f40bbc9ff046c2b0c8f2e2"),
+])
+def test_link_betti_table_is_pinned(capsys, p, digest):
+    # a Gorenstein table in four variables that still eliminates five d_3
+    # ranks; at the largest modulus the pivot loop reduces every 2 updates
+    assert main(["resolve", "link(ci(4,4,4,11),general-forms(4,4,4,4,11))", "-n", "4",
+                 "-p", p, "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
 def test_resolve_refuses_infinite_quotient(capsys):
     assert main(["resolve", "general-forms(2,2)", "-n", "3",
                  "--cap", "4"]) == 1

@@ -166,11 +166,38 @@ def prime_matrices(draw):
     return PrimeMatrix(((left @ right) % p).astype(np.int64), p)
 
 
+# moduli at which the fewest updates fit in int64 between reductions of the
+# loop, u = 2**63 // (p-1)**2 (gfp module docstring): 2 and 8
+LOOP_PRIMES = (2147483647, 1073741789)
+
+
+def falling_rows(p):
+    """Rows 0..9 have 1 on the diagonal and p - 1 right of it; rows 9 and 8
+    repeat.  In the rref the multiplier of row 0 at pivot k is -2**(k-1),
+    near p, so its entries fall by nearly (p-1)**2 at each of 9 pivots in a
+    row: more than either bound allows without a reduction."""
+    a = np.triu(np.full((10, 16), p - 1, dtype=np.int64), 1)
+    np.fill_diagonal(a, 1)
+    return PrimeMatrix(a[[*range(10), 9, 8]], p)
+
+
+@st.composite
+def wide_deficient_matrices(draw):
+    """10x16 matrices whose rows are multiples of a few random rows."""
+    p = draw(st.sampled_from(LOOP_PRIMES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.integers(0, p, size=(draw(st.integers(1, 8)), 16))
+    rows = base[rng.integers(0, base.shape[0], size=10)]
+    return PrimeMatrix(rows * rng.integers(1, p, size=(10, 1)) % p, p)
+
+
 @settings(max_examples=300, deadline=None)
-@given(prime_matrices())
+@given(st.one_of(prime_matrices(), wide_deficient_matrices()))
 @example(PrimeMatrix.zeros(0, 5, 7))
 @example(PrimeMatrix.zeros(4, 0, 2))
 @example(PrimeMatrix(np.array([[0, 2, 1], [0, 4, 3], [1, 1, 1]]), 5))
+@example(falling_rows(2147483647))
+@example(falling_rows(1073741789))
 def test_elimination_matches_loop_oracle(m):
     red, pivots = rref(m)
     want_red, want_pivots = oracle_rref(m.a, m.p)
