@@ -39,7 +39,6 @@ from .engine import (
     QuotientBasis,
     hilbert_function,
     betti_numbers,
-    betti_numbers_syzygy,
     minimal_generators,
     socle,
     ideal_quotient,

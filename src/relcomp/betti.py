@@ -406,7 +406,7 @@ class OddSocleShape:
                     if m.twists[tw] > base.modules[i].twists[tw]:
                         marks.setdefault((i, tw), []).append("y%d" % k)
         lines = []
-        for i in range(self.length(), -1, -1):
+        for i in range(self.n, -1, -1):
             have = base.modules[i].twists
             parts = []
             for tw in sorted(set(have) | {tw for j, tw in marks if j == i}):
@@ -415,9 +415,6 @@ class OddSocleShape:
                 parts.append(name if label == "1" else name + "^[%s]" % label)
             lines.append("F_%d = %s" % (i, " + ".join(parts) if parts else "0"))
         return lines
-
-    def length(self):
-        return self.n
 
 
 def rc_gor_odd_shape(n, t, ci_degrees=()):
@@ -635,7 +632,7 @@ class GhostReport:
         return out
 
 
-def ghost_classify(table, socle_twist=None, n=None):
+def ghost_classify(table, socle_twist=None, *, n):
     """Classify repeated twists in consecutive columns of a Betti table.
 
     A pair (i, j) with entries in both column i and column i+1 is KOSZUL
@@ -645,11 +642,7 @@ def ghost_classify(table, socle_twist=None, n=None):
     The subset counts are reported so callers can see how many copies the
     Koszul mechanism accounts for.
     """
-    if isinstance(table, ResolutionShape):
-        table = table.betti_table()
     gen_degrees = table.generator_degrees()
-    if n is None:
-        n = table.max_index()
     kmax = min(len(gen_degrees), n + 1)
     smax = max((j for _, j in table.beta), default=0)
     counts = _subset_sums(gen_degrees, kmax)

@@ -32,9 +32,7 @@ annihilators, perpendicular spaces, and the relative-compression
 verdict.  A Koszul boundary rank is eliminated only when no theorem gives
 it: the end columns come from the dimensions and the socle of A, the strand
 below the initial degree of I is R's exact Koszul strand, and a Gorenstein
-A mirrors its high ranks onto low ones.  A brute-force iterated-syzygy
-computation of Betti numbers is kept as an independent cross-check for
-small instances.
+A mirrors its high ranks onto low ones.
 """
 
 import functools
@@ -64,7 +62,6 @@ __all__ = [
     "CompressionVerdict",
     "hilbert_function",
     "betti_numbers",
-    "betti_numbers_syzygy",
     "minimal_generators",
     "socle",
     "ideal_quotient",
@@ -627,10 +624,7 @@ class CompressionVerdict:
     min_bound: HilbertSeries
     liaison_bound: HilbertSeries
     verdict: str
-    below_degrees: list = field(default_factory=list)
-    exceed_degrees: list = field(default_factory=list)
     below_min_bound: list = field(default_factory=list)
-    below_liaison: list = field(default_factory=list)
 
 
 def is_relatively_compressed(ideal, c):
@@ -643,9 +637,7 @@ def is_relatively_compressed(ideal, c):
     """
     ring = ideal.ring
     _require_contained(c, ideal, "comparison")
-    hf = hilbert_function(ideal)
-    if not hf.exact:
-        raise NotArtinianError("quotient is not Artinian within its bound")
+    hf = _artinian_quotient(ideal)[1]
     if not hf[0]:
         raise ParamError("R/I is zero (I is the unit ideal): it has no socle "
                          "degree to compare with the bounds")
@@ -656,17 +648,13 @@ def is_relatively_compressed(ideal, c):
     minb = rc_min_bound([d for d in ci_degrees if d <= s], ring.n, s, cdim)
     liaison = rc_upper_bound_liaison(ci_degrees, prof.degrees, ring.n).series
     top = max(hf.top_degree(), minb.top_degree(), liaison.top_degree())
-    below, exceed, below_min, below_li = [], [], [], []
+    below, exceed, below_min = False, False, []
     for d in range(top + 1):
         bound = min(minb[d], liaison[d])
         if hf[d] < minb[d]:
             below_min.append(d)
-        if hf[d] < liaison[d]:
-            below_li.append(d)
-        if hf[d] < bound:
-            below.append(d)
-        elif hf[d] > bound:
-            exceed.append(d)
+        below |= hf[d] < bound
+        exceed |= hf[d] > bound
     if exceed:
         verdict = EXCEEDS_BOUND
     elif below:
@@ -679,10 +667,7 @@ def is_relatively_compressed(ideal, c):
         min_bound=minb,
         liaison_bound=liaison,
         verdict=verdict,
-        below_degrees=below,
-        exceed_degrees=exceed,
         below_min_bound=below_min,
-        below_liaison=below_li,
     )
 
 
@@ -726,101 +711,3 @@ def ci_in(ideal, degrees, stream):
         "seed": stream.seed,
     }
     return GradedIdeal(ideal.ring, gens, prov)
-
-
-# ---------------------------------------------------------------------------
-# independent small-instance oracle: iterated syzygies
-
-
-def betti_numbers_syzygy(ideal):
-    """Betti numbers by explicitly computing kernels of presentation
-    matrices stage by stage and minimalizing.  Exponentially more work
-    than the homological route; intended for small cross-checks only.
-    """
-    ring = ideal.ring
-    n = ring.n
-    hf = hilbert_function(ideal)
-    if not hf.exact:
-        raise NotArtinianError("oracle requires an Artinian quotient")
-    s = hf.top_degree()
-    beta = {(0, 0): 1}
-    # stage 1: a given generator is minimal when it is a pivot past the
-    # span of the shifts of the minimal generators found before it
-    columns = []
-    for m in sorted({g.degree for g in ideal.gens}):
-        given = [(m, [g]) for g in ideal.gens if g.degree == m]
-        old = sum(ring.dim(m - d) for d, _ in columns)
-        _, pivots = rref(_stage_matrix(ring, [0], columns + given, m))
-        columns += [given[c - old] for c in pivots if c >= old]
-    beta.update(((1, d), k) for d, k in Counter(d for d, _ in columns).items())
-
-    # subsequent stages: kernel of column maps into the previous stage
-    # a stage is a list of (degree, components) with components a list of
-    # HomogPoly (or None for zero) targeting the previous stage's degrees
-    target_degrees = [0]
-    for i in range(2, n + 2):
-        target_degrees, columns, found = _syzygy_stage(
-            ring, target_degrees, columns, s + i
-        )
-        for d, cnt in found.items():
-            beta[(i, d)] = beta.get((i, d), 0) + cnt
-        if not columns:
-            break
-    return BettiTable(beta)
-
-
-def _stage_matrix(ring, target_degrees, columns, m):
-    """Matrix of the stage map in internal degree m."""
-    row_blocks = [ring.dim(m - t) for t in target_degrees]
-    row_off = np.concatenate([[0], np.cumsum(row_blocks)])
-    col_blocks = [ring.dim(m - d) for d, _ in columns]
-    a = np.zeros((int(row_off[-1]), int(sum(col_blocks))), dtype=np.int64)
-    c0 = 0
-    for (d, comps) in columns:
-        w = ring.dim(m - d)
-        if w:
-            for t_i, comp in enumerate(comps):
-                if comp is None or m - target_degrees[t_i] < 0:
-                    continue
-                blk = ring.mult_map(comp, m - d).a
-                r0 = int(row_off[t_i])
-                a[r0:r0 + blk.shape[0], c0:c0 + w] = blk
-        c0 += w
-    return PrimeMatrix(a, ring.p)
-
-
-def _syzygy_stage(ring, target_degrees, columns, top):
-    """Minimal generators of the kernel of one stage map."""
-    new_columns = []
-    found = {}
-    degs = [d for d, _ in columns]
-    for m in range(min(degs), top + 1):
-        matrix = _stage_matrix(ring, target_degrees, columns, m)
-        ker = kernel_basis(matrix)
-        if ker.rows == 0:
-            continue
-        # kernel rows independent from the span of shifts of previously
-        # found kernel generators: the pivot columns past that span
-        old = _stage_matrix(ring, degs, new_columns, m)
-        _, pivots = rref(PrimeMatrix(np.hstack([old.a, ker.a.T]), ring.p))
-        chosen = [c - old.cols for c in pivots if c >= old.cols]
-        for r in chosen:
-            comps = _split_components(ring, ker.a[r], degs, m)
-            new_columns.append((m, comps))
-        if chosen:
-            found[m] = len(chosen)
-    return degs, new_columns, found
-
-
-def _split_components(ring, vec, degs, m):
-    comps = []
-    off = 0
-    for d in degs:
-        w = ring.dim(m - d)
-        if w == 0:
-            comps.append(None)
-        else:
-            seg = vec[off:off + w]
-            comps.append(HomogPoly(ring, m - d, seg) if seg.any() else None)
-        off += w
-    return comps

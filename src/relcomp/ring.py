@@ -222,15 +222,15 @@ class HomogPoly:
         for i in np.nonzero(self.coeffs)[0]:
             yield basis[int(i)], int(self.coeffs[i])
 
-    def text(self, names="x"):
+    def text(self):
         parts = []
         for expo, c in self.terms():
             factors = []
             for i, e in enumerate(expo):
                 if e == 1:
-                    factors.append("%s%d" % (names, i + 1))
+                    factors.append("x%d" % (i + 1))
                 elif e > 1:
-                    factors.append("%s%d^%d" % (names, i + 1, e))
+                    factors.append("x%d^%d" % (i + 1, e))
             if not factors:
                 parts.append(str(c))
             elif c == 1:
@@ -243,10 +243,10 @@ class HomogPoly:
         return "HomogPoly(%s)" % self.text()
 
     @classmethod
-    def parse(cls, ring, text, degree=None):
+    def parse(cls, ring, text):
         """Parse '+'-separated terms like '3*x1^2*x2 + x3^3'."""
         terms = {}
-        deg = degree
+        deg = None
         for chunk in text.replace("y", "x").split("+"):
             chunk = chunk.strip()
             if not chunk or chunk == "0":

@@ -13,7 +13,7 @@ and the reversal formula relating a Hilbert function across a link.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotLinkedError, ParamError, RangeError
 
@@ -148,15 +148,12 @@ class LiaisonBound:
 
     `aux_degrees` are the degrees of that enlarged CI (the given CI plus
     n - c forms of degree s + 1); `e_prime` is its socle degree.  The
-    residual is predicted to be the CI plus general forms in the
-    `residual_degrees`; `series` is ci_series(j) - residual_series(e' - j).
+    residual is predicted to be the CI plus general forms in the degrees
+    e' - s_i; `series` is the linkage reversal of the two predictions.
     """
     series: HilbertSeries
     e_prime: int
     aux_degrees: list
-    residual_degrees: list
-    ci_series: HilbertSeries = field(repr=False)
-    residual_series: HilbertSeries = field(repr=False)
 
 
 def rc_upper_bound_liaison(ci_degrees, socle_degrees, n):
@@ -184,9 +181,6 @@ def rc_upper_bound_liaison(ci_degrees, socle_degrees, n):
         series=linkage_hf(term1, term2, e_prime),
         e_prime=e_prime,
         aux_degrees=aux,
-        residual_degrees=residual_degrees,
-        ci_series=term1,
-        residual_series=term2,
     )
 
 

@@ -16,7 +16,6 @@ from relcomp.engine import (
     QuotientBasis,
     annihilator_ideal,
     betti_numbers,
-    betti_numbers_syzygy,
     ci_in,
     general_element,
     general_forms,
@@ -36,6 +35,8 @@ from relcomp.errors import (
 from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref
 from relcomp.ring import FormStream, HomogPoly, RingCtx
 from relcomp.series import froberg_prediction, linkage_hf
+
+from oracles import betti_numbers_syzygy
 
 
 def ring3(p=32003):
@@ -341,8 +342,12 @@ def test_monomial_model_matches_oracle_model(data):
     ideal = draw_model_ideal(data, ring, FormStream(ring, seed))
     model = QuotientBasis(ring, ideal.gens)
     oracle = OracleQuotientBasis(ring, ideal.gens)
-    bound = ideal.artinian_bound()
-    for d in range(4 if bound is None else bound + 1):
+    # the first degree where A vanishes and the one after it are compared
+    # too; no higher degree needs to be, since both models build degree d
+    # on degree d - 1's basis, so neither has a nonzero degree after a zero
+    # one (a quotient that is not Artinian is compared two degrees past its
+    # Artinian bound)
+    for d in range(hilbert_function(ideal).top_degree() + 3):
         assert model.dim(d) == oracle.dim(d)
         assert model.socle_dim(d) == oracle.socle_dim(d)
         assert np.array_equal(ideal_rref(model, d), ideal_rref(oracle, d))
@@ -758,7 +763,9 @@ def test_betti_numbers_of_three_variables_eliminate_nothing(monkeypatch):
 
 
 def test_betti_oracle_agreement_fixed_cases():
-    for degs, seed in [((2, 2, 2), 1), ((2, 3, 3), 2), ((2, 2, 3, 3), 3)]:
+    # seven quadrics in three variables: one is redundant (dim R_2 = 6)
+    for degs, seed in [((2, 2, 2), 1), ((2, 3, 3), 2), ((2, 2, 3, 3), 3),
+                       ((2,) * 7, 4)]:
         ring = ring3()
         ideal = general_forms(ring, degs, FormStream(ring, seed))
         assert betti_numbers(ideal) == betti_numbers_syzygy(ideal)
@@ -818,6 +825,15 @@ def test_verdict_trivial_power_ideal():
     verdict = is_relatively_compressed(GradedIdeal(ring, gens), cideal)
     assert verdict.hf.text() == "1 3 3"
     assert verdict.verdict in ("MEETS_CONJECTURED_BOUND", "BELOW_BOUND")
+
+
+def test_verdict_refuses_non_artinian():
+    # it takes no cap, so it refuses R/I as socle and betti_numbers do
+    ring = ring3()
+    ideal = GradedIdeal(ring, [ring.variable(1), ring.variable(2)])
+    c = GradedIdeal(ring, [ring.monomial((2, 0, 0)), ring.monomial((0, 2, 0))])
+    with pytest.raises(NotArtinianError):
+        is_relatively_compressed(ideal, c)
 
 
 def test_verdict_requires_containment():
