@@ -296,7 +296,9 @@ def cmd_reproduce(args):
 
 def _search_grid(family, max_n, max_degree, max_socle):
     """Yield (n, ci_degrees, socle_degree, type) tuples for a family."""
-    for n in [n for n in (3, 4) if n <= max_n]:
+    if max_n not in (3, 4):
+        raise ParamError("--max-n must be 3 or 4: the grid has n = 3 and n = 4")
+    for n in range(3, max_n + 1):
         if family == "conj-4.8":
             degree_lists = [(d,) * n for d in range(2, max_degree + 1)]
         else:

@@ -9,10 +9,10 @@ commutation relations x_j*(x_k*b) = x_k*(x_j*b), which the degree d
 generators then quotient.  The basis monomials are the degree reverse
 lexicographic standard monomials of I, so the products are their upper
 shadow: at most min(n * dim A_{d-1}, dim R_d) columns, which for Artinian
-quotients stays small even when dim R_d is in the thousands.  The
-per-degree data are: a basis of monomials, multiplication matrices for
-each variable, and a reduction table sending every monomial of R_d to
-its class.
+quotients stays small even when dim R_d is in the thousands.  Its state
+is two arrays per degree d: _std[d], the standard monomials whose classes
+are the basis of A_d, and _table[d], the class of every monomial of R_d.
+The readers dim, mult, socle_dim and reduce derive the rest from them.
 
 Each GradedIdeal owns one QuotientBasis of its generators
 (GradedIdeal.quotient), shared by every reader of R/I; the generators
@@ -141,12 +141,14 @@ class GradedIdeal:
 
 
 class QuotientBasis:
-    """Per-degree model of A = R/I: a monomial basis, multiplication
-    matrices and monomial reduction tables, built degree by degree.
+    """Per-degree model of A = R/I, built degree by degree, whose state is
+    _std[d] (the R_d positions of the monomials whose classes are the basis
+    of A_d) and _table[d] (the class of every monomial of R_d).  dim(d) is
+    the size of _std[d], mult(k, d) gathers table(d + 1) at x_{k+1} _std[d],
+    socle_dim(d) is the common kernel of the mult(k, d), reduce applies table.
 
-    The basis of A_d is the classes of the monomials at the R_d positions
-    _std[d]: the standard monomials of I of degree d (those outside its
-    initial ideal) for the degree reverse lexicographic order, the
+    _std[d] holds the standard monomials of I of degree d (those outside
+    its initial ideal) for the degree reverse lexicographic order, the
     Macaulay basis of Cox, Little and O'Shea, Ideals, Varieties, and
     Algorithms, section 5.3.  _build(d) finds them from degree d - 1 alone
     for the ideal J generated in degrees < d (equal to I below degree d),
@@ -165,7 +167,8 @@ class QuotientBasis:
       (R/J)_d = span(M_d) / mu(relations), with mu(relations) = J_d meet
       span(M_d).  The free columns of its echelon form give a monomial
       basis of (R/J)_d, and its kernel basis (the identity on them) gives
-      the class of every product, so mult(k, d - 1) is its columns at x_k S.
+      the class of every product, so table(d) at x_k m is the classes of
+      the products x_k S applied to table(d - 1) at m.
     * With the columns in descending degrevlex order, the pivot columns
       are the leading monomials of J_d meet span(M_d), which lie in the
       initial ideal of J.  Conversely, let S be the standard monomials of
@@ -194,15 +197,9 @@ class QuotientBasis:
         for g in gens:
             self.gens_by_degree.setdefault(g.degree, []).append(g)
         self.gens = []  # the generators sift kept, in the order kept
-        self._dims = {0: 1}
-        # _std[d]: positions in R_d of the monomials whose classes are the
-        # basis of A_d
-        self._std = {0: np.zeros(1, dtype=np.int64)}
-        # _mult[(k, d)]: class of x_{k+1} * (-): A_d -> A_{d+1}
-        self._mult = {}
-        # _table[d]: matrix (dim A_d) x (dim R_d) reducing monomials
-        self._table = {0: PrimeMatrix(np.ones((1, 1), dtype=np.int64), ring.p)}
-        self._top = 0
+        # degrees 0, ..., len(_std) - 1 are built
+        self._std = [np.zeros(1, dtype=np.int64)]
+        self._table = [PrimeMatrix(np.ones((1, 1), dtype=np.int64), ring.p)]
         # _socle[d]: dim of the socle of A in degree d, read from A_d and A_{d+1}
         self._socle = {}
         self._sift_given(0)
@@ -210,17 +207,15 @@ class QuotientBasis:
     def dim(self, d):
         if d < 0:
             return 0
-        while self._top < d:
-            self._build(self._top + 1)
-        return self._dims[d]
+        while len(self._std) <= d:
+            self._build(len(self._std))
+        return self._std[d].size
 
     def mult(self, k, d):
-        """Multiplication by x_{k+1} as a matrix A_d -> A_{d+1} (k 0-based)."""
-        rows = self.dim(d + 1)  # builds degree d + 1
-        if (k, d) not in self._mult:
-            # source or target is zero
-            return PrimeMatrix.zeros(rows, self.dim(d), self.ring.p)
-        return self._mult[(k, d)]
+        """Multiplication by x_{k+1} as a matrix A_d -> A_{d+1} (k 0-based):
+        column b is the class of x_{k+1} times the b-th basis monomial."""
+        t = self.table(d + 1)  # builds degree d + 1
+        return PrimeMatrix._trusted(t.a[:, self.ring.sum_index(d, 1)[self._std[d], k]], t.p)
 
     def socle_dim(self, d):
         """Dimension of the socle of A in degree d: the common kernel of
@@ -246,29 +241,26 @@ class QuotientBasis:
         the top degree built) whose classes are independent of those of the rows
         before them; returns their indices, the row rank profile of
         table(d) rows^T.  With K the kept classes, Pi the kernel basis of
-        K^T and free its free columns, A_d is quotiented in place: _std[d],
-        table(d) and mult(k, d - 1) become _std[d][free], Pi table(d) and
-        Pi mult(k, d - 1), the arrays a fresh build gives.  Proof: table(d)
-        writes a form as its normal form on the standard monomials, which
-        keeps a standard leading monomial.  So the new initial ideal in
-        degree d adds the leading monomials of span(K): the pivot columns of
-        K^T, whose columns are _std[d] in descending degrevlex order.  The
-        free ones are the new standard monomials; on them every class is
-        unique, so table(d) and mult(k, d - 1) are too, and Pi (the identity
-        on the free columns) maps old classes to new ones.  In degree 0
-        there is no mult(k, -1); a kept row leaves A_0 = 0, and every later
-        degree builds empty.  The kept rows are appended to gens."""
-        if d < self._top:
+        K^T and free its free columns, A_d is quotiented in place: _std[d]
+        and table(d) become _std[d][free] and Pi table(d), the arrays a fresh
+        build gives, and mult(k, d - 1), read off table(d), follows Pi.
+        Proof: table(d) writes a form as its normal form on the standard
+        monomials, which keeps a standard leading monomial.  So the new
+        initial ideal in degree d adds the leading monomials of span(K): the
+        pivot columns of K^T, whose columns are _std[d] in descending
+        degrevlex order.  The free ones are the new standard monomials; on
+        them every class is unique, so table(d) is too, and Pi (the identity
+        on the free columns) maps old classes to new ones.  A kept row in
+        degree 0 leaves A_0 = 0, and every later degree builds empty.  The
+        kept rows are appended to gens."""
+        if d < len(self._std) - 1:
             raise InternalError("degree %d lies below the degrees built" % d)
         classes = self.table(d).matmul(PrimeMatrix(np.asarray(rows).T, self.ring.p))
         kept = rref(classes)[1]
         if kept:
             pi, free = _kernel(PrimeMatrix._trusted(classes.a[:, kept].T, classes.p))
-            self._dims[d] = free.size
             self._std[d] = self._std[d][free]
             self._table[d] = pi.matmul(self._table[d])
-            for k in range(self.ring.n if d else 0):
-                self._mult[(k, d - 1)] = pi.matmul(self._mult[(k, d - 1)])
             self.gens += [HomogPoly(self.ring, d, rows[i]) for i in kept]
         for e in (d - 1, d):  # the socle dims that read A_d
             self._socle.pop(e, None)
@@ -282,7 +274,7 @@ class QuotientBasis:
     def _build(self, d):
         ring = self.ring
         n, p = ring.n, ring.p
-        a2 = self._dims.get(d - 2, 0)
+        a2 = self.dim(d - 2)
         # columns: the distinct products x_k * b, b in _std[d - 1], in
         # descending degrevlex order (lexsort keys the last exponent first);
         # pos[i, k] is the column of x_{k+1} * _std[d - 1][i]
@@ -304,20 +296,16 @@ class QuotientBasis:
         # vred: coordinates of every product in the basis of (R/J)_d
         ker, free = _kernel(PrimeMatrix._trusted(rels[rels.any(axis=1)], p))
         vred = ker.a
-        ad = vred.shape[0]
-        self._dims[d] = ad
-        self._std[d] = order[keys[free]]
-        for k in range(n):
-            self._mult[(k, d - 1)] = PrimeMatrix._trusted(vred[:, pos[:, k]], p)
-        # monomial reduction table for degree d
+        # table(d): the monomials x_{k+1} m of strip k reduce as the
+        # products x_{k+1} b, b in _std[d - 1], applied to the classes of m
         prev_table = self._table[d - 1]
-        table = np.zeros((ad, ring.dim(d)), dtype=np.int64)
-        if ad:
+        table = np.zeros((vred.shape[0], ring.dim(d)), dtype=np.int64)
+        if vred.size:
             for k, (cols, prev) in enumerate(ring.strip(d)):
                 sub = PrimeMatrix._trusted(prev_table.a[:, prev], p)
-                table[:, cols] = self._mult[(k, d - 1)].matmul(sub).a
-        self._table[d] = PrimeMatrix._trusted(table, p)
-        self._top = d
+                table[:, cols] = PrimeMatrix._trusted(vred[:, pos[:, k]], p).matmul(sub).a
+        self._std.append(order[keys[free]])
+        self._table.append(PrimeMatrix._trusted(table, p))
         self._sift_given(d)
 
 

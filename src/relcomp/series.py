@@ -112,8 +112,9 @@ def rational_series(num_degrees, n, cap=None):
     """Exact expansion of prod (1 - Z^d_i) / (1 - Z)^n up to cap.
 
     Coefficients may be negative; no truncation is applied.  With at
-    least n degrees the default cap is sum(d_i) - n + 1 (beyond which an
-    actual complete intersection quotient vanishes); with fewer degrees
+    least n degrees it is a polynomial of degree sum(d_i) - n, exact once
+    cap reaches that, and the default cap is sum(d_i) - n + 1 (beyond which
+    an actual complete intersection quotient vanishes); with fewer degrees
     a cap is required since the series never terminates.
     """
     degrees = list(num_degrees)
@@ -130,8 +131,7 @@ def rational_series(num_degrees, n, cap=None):
     for d in degrees:
         for j in range(cap, d - 1, -1):
             coeffs[j] -= coeffs[j - d]
-    exact = len(degrees) >= n
-    return HilbertSeries(coeffs, exact=exact)
+    return HilbertSeries(coeffs, exact=len(degrees) >= n and cap >= sum(degrees) - n)
 
 
 def froberg_prediction(degrees, n, cap=None):

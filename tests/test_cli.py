@@ -198,6 +198,19 @@ def test_link_witness_is_pinned(tmp_path, capsys, p, digest):
 
 
 @pytest.mark.parametrize("p, digest", [
+    ("32003", "1d0a18e7b9999f6832fee0ef45850a19e4db72ab124349ba28167e83e0b1d8c2"),
+    ("2147483647", "6c2abbe62073bde0e00072f9e408343a3e43061387972a5a8e6affc84c0ceadc"),
+])
+def test_ann_witness_is_pinned(tmp_path, capsys, p, digest):
+    # the generators an annihilator sifts, at a small modulus and at the largest
+    path = tmp_path / "w.json"
+    assert main(["resolve", "ann(perp-pick(2,6,ci(2,3)))", "-n", "4",
+                 "-p", p, "--witness", str(path)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p, digest", [
     ("32003", "f3db5b57f101dc8fdc51f9e6faf2e39dcfd2d0cda4b6a49d6b84f54123297703"),
     ("2147483647", "365d249560777b8487403e7e27dc9273d8484d0979f40bbc9ff046c2b0c8f2e2"),
 ])
@@ -343,6 +356,9 @@ def test_help_lists_only_read_flags(capsys, command):
     ["resolve", "ci(2,2,2)", "--cap", "-1"],
     ["reproduce", "froberg-rows", "--all"],
     ["search", "conj-4.8", "--limit", "-5"],
+    # the grid has n = 3 and n = 4 only
+    ["search", "conj-4.7", "--max-n", "9"],
+    ["search", "conj-4.8", "--max-n", "2"],
 ])
 def test_unread_or_invalid_options_exit_2(capsys, argv):
     assert _run(capsys, argv) == (2, "")

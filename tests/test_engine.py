@@ -246,7 +246,25 @@ class OracleQuotientBasis(QuotientBasis):
     x_1*A_{d-1} + ... + x_n*A_{d-1} (n * dim A_{d-1} columns) by the
     commutation relations and the generator images, eliminated here rather
     than sifted.  The reference for the monomial-basis model, which must
-    describe the same algebra."""
+    describe the same algebra.  With no monomial basis, mult cannot be read
+    off the table: it keeps its own dims, multiplication maps and top
+    degree."""
+
+    def __init__(self, ring, gens=()):
+        self._dims, self._mult, self._top = {0: 1}, {}, 0
+        super().__init__(ring, gens)
+
+    def dim(self, d):
+        if d < 0:
+            return 0
+        while self._top < d:
+            self._build(self._top + 1)
+        return self._dims[d]
+
+    def mult(self, k, d):
+        rows = self.dim(d + 1)  # builds degree d + 1
+        # source or target is zero when _build stored no map
+        return self._mult.get((k, d), PrimeMatrix.zeros(rows, self.dim(d), self.ring.p))
 
     def _sift_given(self, d):
         # called for degree 0 only: a nonzero constant leaves A_0 = 0
@@ -263,9 +281,9 @@ class OracleQuotientBasis(QuotientBasis):
         gens_d = self.gens_by_degree.get(d, [])
         if vdim == 0:
             self._dims[d] = 0
-            self._table[d] = PrimeMatrix(
+            self._table.append(PrimeMatrix(
                 np.zeros((0, ring.dim(d)), dtype=np.int64), p
-            )
+            ))
             self._top = d
             return
         rels = [np.zeros((0, vdim), dtype=np.int64)]
@@ -297,7 +315,7 @@ class OracleQuotientBasis(QuotientBasis):
             for k, (cols, prev) in enumerate(strips):
                 sub = PrimeMatrix._trusted(prev_table.a[:, prev], p)
                 table[:, cols] = self._mult[(k, d - 1)].matmul(sub).a
-        self._table[d] = PrimeMatrix._trusted(table, p)
+        self._table.append(PrimeMatrix._trusted(table, p))
         self._top = d
 
 

@@ -51,6 +51,19 @@ def test_rational_series_needs_cap_when_short():
     assert not s.exact
 
 
+def test_a_capped_series_is_exact_only_past_its_degree():
+    # with n or more degrees the series is a polynomial of degree
+    # sum(d_i) - n: a cap below that cuts off terms that are not zero
+    cut = rational_series([2, 2, 2], 3, cap=1)
+    assert list(cut) == [1, 3] and not cut.exact
+    with pytest.raises(RangeError):
+        cut[2]
+    assert rational_series([2, 2, 2], 3, cap=3).exact
+    with pytest.raises(RangeError):
+        froberg_prediction([3, 3, 3], 3, cap=3).total()
+    assert froberg_prediction([3, 3, 3], 3, cap=6).total() == 27
+
+
 def test_froberg_rows():
     assert froberg_prediction([3, 3, 3], 3).text() == "1 3 6 7 6 3 1"
     assert froberg_prediction([4, 4, 4, 2], 3).text() == "1 3 5 7 6 2"
