@@ -632,16 +632,25 @@ class GhostReport:
         return out
 
 
-def ghost_classify(table, socle_twist=None, *, n):
-    """Classify repeated twists in consecutive columns of a Betti table.
+def ghost_classify(table):
+    """Classify repeated twists in consecutive columns of the Betti table
+    of an Artinian quotient A = R/I.
 
     A pair (i, j) with entries in both column i and column i+1 is KOSZUL
     when j is simultaneously a sum of i distinct generator degrees and of
-    i+1 distinct ones; DUALITY_FORCED when it is not, but the mirror
-    position (n-i-1, socle_twist - j) would be; NON_KOSZUL otherwise.
-    The subset counts are reported so callers can see how many copies the
-    Koszul mechanism accounts for.
+    i+1 distinct ones; DUALITY_FORCED when it is not, but A is Gorenstein
+    and the mirror position (n-i-1, socle_twist - j) would be; NON_KOSZUL
+    otherwise.  The subset counts are reported so callers can see how many
+    copies the Koszul mechanism accounts for.
+
+    Both n and the socle twist are read off the table.  A nonzero Artinian
+    A has projective dimension n, so n is the last column.  Column n is
+    the socle (beta_{n,j} = dim soc(A)_{j-n}), so A is Gorenstein exactly
+    when that column has rank 1, and its one twist is socle_twist = s + n.
     """
+    n = table.max_index()
+    top = table.column(n)
+    socle_twist = next(iter(top.twists)) if top.rank == 1 else None
     gen_degrees = table.generator_degrees()
     kmax = min(len(gen_degrees), n + 1)
     smax = max((j for _, j in table.beta), default=0)

@@ -2,7 +2,7 @@
 
 Each case builds a configuration from scratch (seeded), recomputes every
 quantity, and diffs the results against expected fixtures.  Every fixture
-value carries a provenance tag:
+value carries a tag that says where it comes from:
 
 * ``recorded`` -- copied from an independently published computation that
   the case is meant to reproduce;
@@ -112,29 +112,26 @@ class ExampleCase:
 # shared constructions
 
 
-def level_by_linkage(ring, ci_degrees, s, c, stream):
-    """Level algebra with socle degree s and type c squeezed in a general
-    complete intersection: adjoin c general forms of degree
-    sum(ci_degrees) - s - n and take the residual.
+def level_by_linkage(cideal, s, c, stream):
+    """Level algebra with socle degree s and type c squeezed in the
+    complete intersection cideal: adjoin c forms of degree
+    sum(ci degrees) - s - n drawn from the stream and take the residual.
 
-    Returns (ci ideal, adjoined ideal, residual ideal).
+    Returns (adjoined ideal, residual ideal).
     """
-    extra = sum(ci_degrees) - s - ring.n
+    degrees = cideal.degrees()
+    extra = sum(degrees) - s - cideal.ring.n
     if extra < 1:
         raise ParamError("socle degree too large for this complete intersection")
-    cideal = general_forms(ring, ci_degrees, stream)
-    big = GradedIdeal(
-        ring,
-        cideal.gens + [stream.form(extra) for _ in range(c)],
-        {"recipe": ["level", list(ci_degrees), s, c], "seed": stream.seed},
-    )
-    return cideal, big, ideal_quotient(cideal, big)
+    big = GradedIdeal(cideal.ring, cideal.gens + [stream.form(extra) for _ in range(c)],
+                      ["level", degrees, s, c])
+    return big, ideal_quotient(cideal, big)
 
 
-def link_general(ring, ci_degrees, gen_degrees, stream):
+def link_general(ci_degrees, gen_degrees, stream):
     """Link an ideal of general forms by a general complete intersection
     inside it; returns (ci ideal, ideal, residual)."""
-    ideal = general_forms(ring, gen_degrees, stream)
+    ideal = general_forms(gen_degrees, stream)
     cideal = ci_in(ideal, ci_degrees, stream)
     return cideal, ideal, ideal_quotient(cideal, ideal)
 
@@ -182,9 +179,9 @@ def _case_froberg_rows(checks, seed):
 
 
 def _case_ci333_level_s5(checks, seed):
-    ring = RingCtx(3, 32003)
-    stream = FormStream(ring, seed)
-    cideal, big, res = level_by_linkage(ring, (3, 3, 3), 5, 2, stream)
+    stream = FormStream(RingCtx(3, 32003), seed)
+    cideal = general_forms((3, 3, 3), stream)
+    big, res = level_by_linkage(cideal, 5, 2, stream)
     _add(checks, "adjoined hf", DERIVED, "1 1 1",
          hilbert_function(big).text())
     _add(checks, "residual hf", RECORDED, "1 3 6 7 5 2",
@@ -200,9 +197,9 @@ def _case_ci333_level_s5(checks, seed):
 
 
 def _case_ci444_level_s7(checks, seed):
-    ring = RingCtx(3, 32003)
-    stream = FormStream(ring, seed)
-    cideal, big, res = level_by_linkage(ring, (4, 4, 4), 7, 2, stream)
+    stream = FormStream(RingCtx(3, 32003), seed)
+    cideal = general_forms((4, 4, 4), stream)
+    big, res = level_by_linkage(cideal, 7, 2, stream)
     _add(checks, "adjoined hf", RECORDED, "1 3 4 4 1",
          hilbert_function(big).text())
     _add(checks, "residual hf", RECORDED, "1 3 6 10 12 11 6 2",
@@ -234,10 +231,8 @@ def _case_ex26_betti(checks, seed):
 
 
 def _case_ghost_4444_11(checks, seed):
-    ring = RingCtx(4, 32003)
-    stream = FormStream(ring, seed)
-    cideal, ideal, res = link_general(ring, (4, 4, 4, 11), (4, 4, 4, 4, 11),
-                                      stream)
+    stream = FormStream(RingCtx(4, 32003), seed)
+    cideal, ideal, res = link_general((4, 4, 4, 11), (4, 4, 4, 4, 11), stream)
     _add(checks, "residual hf", RECORDED,
          "1 4 10 20 32 44 54 60 60 54 44 32 20 10 4 1",
          hilbert_function(res).text())
@@ -252,7 +247,7 @@ def _case_ghost_4444_11(checks, seed):
     _add(checks, "betti table", RECORDED, want.to_json(), table.to_json())
     _add(checks, "totals", RECORDED, [1, 7, 12, 7, 1], table.totals())
     _add(checks, "socle", RECORDED, "(15)", socle(res).text())
-    report = ghost_classify(table, socle_twist=19, n=4)
+    report = ghost_classify(table)
     got = {(e.i, e.j): e.cls for e in report.entries}
     _add(checks, "ghost classes", RECORDED,
          {(1, 8): "KOSZUL", (1, 9): "NON_KOSZUL",
@@ -261,9 +256,8 @@ def _case_ghost_4444_11(checks, seed):
 
 
 def _case_ex43_chain(checks, seed):
-    ring = RingCtx(4, 32003)
-    stream = FormStream(ring, seed)
-    first = general_forms(ring, (1, 1, 2, 2, 2), stream)
+    stream = FormStream(RingCtx(4, 32003), seed)
+    first = general_forms((1, 1, 2, 2, 2), stream)
     _add(checks, "start hf", RECORDED, "1 2", hilbert_function(first).text())
     c1 = ci_in(first, (3, 3, 3, 3), stream)
     second = ideal_quotient(c1, first)
@@ -287,7 +281,7 @@ def _case_ex43_chain(checks, seed):
                              target_hf=list(hilbert_function(third)))
     _add(checks, "mapping cone agrees", DERIVED,
          table.to_json(), cone.betti_table().to_json())
-    entry = ghost_classify(table, n=4).find(1, 10)
+    entry = ghost_classify(table).find(1, 10)
     _add(checks, "twist-10 ghost class", RECORDED, "KOSZUL", entry.cls)
     _add(checks, "twist-10 copies above", RECORDED, 5, entry.mult_upper)
     _add(checks, "twist-10 subset-sum count", RECORDED, 4, entry.koszul_upper)
@@ -338,9 +332,8 @@ def _case_char2_quartics(checks, seed):
     _add(checks, "corrected link hf", RECORDED, "1 3 6 10 12 10 6 3 1",
          hilbert_function(res2).text())
     # the same construction over a big field
-    ring0 = RingCtx(3, 32003)
-    stream0 = FormStream(ring0, seed)
-    cideal, big0, res0 = level_by_linkage(ring0, (4, 4, 4), 8, 1, stream0)
+    stream0 = FormStream(RingCtx(3, 32003), seed)
+    big0, res0 = level_by_linkage(general_forms((4, 4, 4), stream0), 8, 1, stream0)
     _add(checks, "big-field link hf", RECORDED, "1 3 6 10 12 10 6 3 1",
          hilbert_function(res0).text())
 
@@ -355,9 +348,8 @@ _GOR_EVEN_GRID = [
 
 def _case_gor_even_cross(checks, seed):
     for n, t, ci in _GOR_EVEN_GRID:
-        ring = RingCtx(n, 32003)
-        stream = FormStream(ring, seed)
-        cideal = general_forms(ring, ci, stream)
+        stream = FormStream(RingCtx(n, 32003), seed)
+        cideal = general_forms(ci, stream)
         f = perp_picks(cideal, 2 * t, 1, stream)[0]
         algebra = annihilator_ideal([f])
         got = betti_numbers(algebra)
@@ -382,9 +374,7 @@ def _case_aci_244456(checks, seed):
                 {6: 3, 7: 1, 8: 4, 9: 3, 10: 3, 11: 46},
                 {10: 3, 11: 3, 12: 150}, {13: 146}, {14: 45}).text(),
          shape.text())
-    ring = RingCtx(5, 32003)
-    stream = FormStream(ring, seed)
-    ideal = general_forms(ring, (2, 4, 4, 4, 5, 6), stream)
+    ideal = general_forms((2, 4, 4, 4, 5, 6), FormStream(RingCtx(5, 32003), seed))
     _add(checks, "engine hf", RECORDED, "1 5 14 30 52 75 92 95 79 45",
          hilbert_function(ideal, cap=10).text())
 
@@ -413,9 +403,8 @@ def _case_quadric_points(checks, seed):
 
 
 def _case_quadric_level_29(checks, seed):
-    ring = RingCtx(3, 32003)
-    stream = FormStream(ring, seed)
-    quadric = general_forms(ring, (2,), stream)
+    stream = FormStream(RingCtx(3, 32003), seed)
+    quadric = general_forms((2,), stream)
     picks = perp_picks(quadric, 5, 4, stream)
     algebra = annihilator_ideal(picks)
     _add(checks, "level hf", RECORDED, "1 3 5 7 9 4",

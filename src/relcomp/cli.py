@@ -133,36 +133,36 @@ def _int_args(node):
     return list(node.args)
 
 
-def eval_recipe(node, ring, stream):
+def eval_recipe(node, stream):
     """Evaluate a recipe tree to a GradedIdeal (or a list of dual forms
-    for perp-pick nodes)."""
+    for perp-pick nodes) in the ring of the stream."""
     if node.name in ("general-forms", "ci"):
-        return general_forms(ring, _int_args(node), stream)
+        return general_forms(_int_args(node), stream)
     if node.name == "link":
         if len(node.args) != 2 or isinstance(node.args[1], int):
             raise ParamError("link(ci(...), <recipe>) takes two arguments")
         first, second = node.args
-        ideal = eval_recipe(second, ring, stream)
+        ideal = eval_recipe(second, stream)
         if not isinstance(ideal, GradedIdeal):
             raise ParamError("the second argument of link must build an ideal")
         if isinstance(first, _Node) and first.name == "ci":
             cideal = ci_in(ideal, _int_args(first), stream)
         else:
-            cideal = eval_recipe(first, ring, stream)
+            cideal = eval_recipe(first, stream)
         return ideal_quotient(cideal, ideal)
     if node.name == "perp-pick":
         if (len(node.args) != 3 or not isinstance(node.args[0], int)
                 or not isinstance(node.args[1], int)):
             raise ParamError("perp-pick(count, degree, <recipe>)")
         count, degree, sub = node.args
-        ideal = eval_recipe(sub, ring, stream)
+        ideal = eval_recipe(sub, stream)
         return case_mod.perp_picks(ideal, degree, count, stream)
     if node.name == "ann":
         forms = []
         for a in node.args:
             if isinstance(a, int):
                 raise ParamError("ann(...) takes perp-pick sub-recipes")
-            got = eval_recipe(a, ring, stream)
+            got = eval_recipe(a, stream)
             if isinstance(got, list):
                 forms.extend(got)
             else:
@@ -183,10 +183,10 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _write_witness(path, ring, seed, recipe, ideal):
+def _write_witness(path, seed, recipe, ideal):
     data = {
-        "n": ring.n,
-        "p": ring.p,
+        "n": ideal.ring.n,
+        "p": ideal.ring.p,
         "seed": seed,
         "recipe": recipe,
         "generators": [g.text() for g in ideal.gens],
@@ -230,10 +230,8 @@ def cmd_predict(args):
 
 
 def cmd_resolve(args):
-    ring = RingCtx(args.n, args.p)
-    stream = FormStream(ring, args.seed)
     tree = parse_recipe(args.recipe)
-    ideal = eval_recipe(tree, ring, stream)
+    ideal = eval_recipe(tree, FormStream(RingCtx(args.n, args.p), args.seed))
     if not isinstance(ideal, GradedIdeal):
         raise ParamError("the recipe must build an ideal")
     hf = hilbert_function(ideal, args.cap)
@@ -244,11 +242,10 @@ def cmd_resolve(args):
         return 1
     table = betti_numbers(ideal)
     prof = socle(ideal)
-    twist = prof.socle_degree + ring.n if prof.is_gorenstein else None
-    report = ghost_classify(table, socle_twist=twist, n=ring.n)
+    report = ghost_classify(table)
     payload = {
-        "n": ring.n,
-        "p": ring.p,
+        "n": ideal.ring.n,
+        "p": ideal.ring.p,
         "seed": args.seed,
         "recipe": tree.text(),
         "hf": hf.trimmed(),
@@ -263,7 +260,7 @@ def cmd_resolve(args):
         lines.extend("  " + ln for ln in report.lines())
     _emit(args, payload, lines)
     if args.witness:
-        _write_witness(args.witness, ring, args.seed, tree.text(), ideal)
+        _write_witness(args.witness, args.seed, tree.text(), ideal)
     return 0
 
 
@@ -312,22 +309,24 @@ def _search_grid(family, max_n, max_degree, max_socle):
                     yield n, ci, s, c
 
 
-def _run_search_instance(family, n, ci, s, c, p, seed):
-    """Build the level-by-linkage instance and evaluate the predicate.
+def _run_search_instance(family, cideal, s, c, seed):
+    """Build the level-by-linkage instance in the complete intersection
+    cideal, drawn first from a fresh stream of the seed, and evaluate the
+    predicate.
 
     Returns (verdict, ideal or None).  Instances where the construction
     does not yield a level algebra of the requested socle data are
     reported as SKIPPED (the predicate does not apply to them).
     """
-    ring = RingCtx(n, p)
-    stream = FormStream(ring, seed)
+    n = cideal.ring.n
+    stream = FormStream(cideal.ring, seed)
+    stream.forms(cideal.degrees())  # the draws that made cideal
     try:
-        cideal, big, res = case_mod.level_by_linkage(ring, ci, s, c, stream)
+        big, res = case_mod.level_by_linkage(cideal, s, c, stream)
         prof = socle(res)
         if not prof.is_level or prof.socle_degree != s or prof.cm_type != c:
             return "SKIPPED", None
-        twist = s + n if prof.is_gorenstein else None
-        report = ghost_classify(betti_numbers(res), socle_twist=twist, n=n)
+        report = ghost_classify(betti_numbers(res))
     except RelcompError:
         return "SKIPPED", None
     non_koszul = [e for e in report.entries if e.cls == "NON_KOSZUL"]
@@ -355,6 +354,7 @@ def cmd_search(args):
     budget = args.limit
     complete = True
     idx = 0
+    key = None  # the (n, ci) of the current complete intersection
     # remark-4.10 does not read --max-n: it is fixed at n = 3
     for n, ci, s, c in _search_grid(args.family, getattr(args, "max_n", 3),
                                     args.max_degree, args.max_socle):
@@ -362,8 +362,13 @@ def cmd_search(args):
             complete = False
             break
         budget -= 1
-        verdict, witness = _run_search_instance(
-            args.family, n, ci, s, c, args.p, args.seed)
+        if (n, ci) != key:
+            # one ring per n and one complete intersection per (n, ci),
+            # which the grid yields in one run
+            if key is None or key[0] != n:
+                ring = RingCtx(n, args.p)
+            key, cideal = (n, ci), general_forms(ci, FormStream(ring, args.seed))
+        verdict, witness = _run_search_instance(args.family, cideal, s, c, args.seed)
         params = "ci=%s;s=%d;c=%d" % (",".join(map(str, ci)), s, c)
         path = ""
         if witness is not None and verdict != "CONFIRMED":
@@ -372,8 +377,7 @@ def cmd_search(args):
                 os.makedirs(out_dir, exist_ok=True)
             path = os.path.join(
                 out_dir, "%s-%03d.json" % (args.family, idx))
-            _write_witness(path, witness.ring, args.seed,
-                           witness.provenance.get("recipe"), witness)
+            _write_witness(path, args.seed, witness.recipe, witness)
         rows.append((args.family, n, args.p, args.seed, params, verdict, path))
     columns = ["family", "n", "p", "seed", "params", "verdict", "witness_path"]
     if args.format == "json":

@@ -74,18 +74,20 @@ __all__ = [
 ]
 
 class GradedIdeal:
-    """A homogeneous ideal given by fixed generators, with provenance data
-    and the one model of R/I they define: built on first read, or handed
-    over by the colon or annihilator computation that found the
-    generators."""
+    """A homogeneous ideal given by fixed generators, the recipe that built
+    them (a nested list, or None) and the one model of R/I they define:
+    built on first read, or handed over by the colon or annihilator
+    computation that found the generators."""
 
-    def __init__(self, ring, gens, provenance=None):
+    def __init__(self, ring, gens, recipe=None):
         self.ring = ring
         self.gens = list(gens)
         for g in self.gens:
+            if g.ring is not ring:
+                raise ParamError("mixed rings")
             if g.is_zero():
                 raise ParamError("zero generator")
-        self.provenance = provenance or {}
+        self.recipe = recipe
 
     def degrees(self):
         return sorted(g.degree for g in self.gens)
@@ -498,7 +500,7 @@ def _require_contained(c, ideal, role):
                 % (g.degree, role))
 
 
-def _sift_generators(ring, degrees, candidates, provenance):
+def _sift_generators(ring, degrees, candidates, recipe):
     """The ideal of the generators QuotientBasis.sift keeps, in one model,
     from the rows of candidates(d), d in degrees, carrying that model.
     candidates(d) gives the rows (a PrimeMatrix) and the dim A_d they
@@ -513,7 +515,7 @@ def _sift_generators(ring, degrees, candidates, provenance):
             build.sift(rows.a, d)
         if build.dim(d) != target:
             raise InternalError("inconsistent quotient dimensions in degree %d" % d)
-    ideal = GradedIdeal(ring, build.gens, provenance)
+    ideal = GradedIdeal(ring, build.gens, recipe)
     # complete now: it becomes the model GradedIdeal.quotient would build
     ideal.__dict__["quotient"] = build
     return ideal
@@ -564,29 +566,31 @@ def ideal_quotient(c, ideal):
             PrimeMatrix._trusted(f[ring.sum_index(e - k - d, d)[qc._std[e - k - d]]], p)
             for k, f in duals if d + k <= e])
 
-    prov = {"recipe": ["quotient", c.provenance.get("recipe"),
-                       ideal.provenance.get("recipe")]}
-    return _sift_generators(ring, range(e + 2), candidates, prov)
+    return _sift_generators(ring, range(e + 2), candidates,
+                            ["quotient", c.recipe, ideal.recipe])
 
 
 def annihilator_ideal(f_list):
     """The ideal of operators annihilating every given dual form.
 
     Degree d membership is the joint kernel of the contraction maps of
-    the forms of degree >= d; generators are extracted as in
-    ideal_quotient.  Small characteristic can degenerate the pairing
-    (falling factorials vanish mod p), which is allowed but worth
-    remembering when interpreting results.
+    the forms of degree >= d, from degree 0 on (so zero forms give the
+    unit ideal); generators are extracted as in ideal_quotient.  Small
+    characteristic can degenerate the pairing (falling factorials vanish
+    mod p), which is allowed but worth remembering when interpreting
+    results.
     """
     if not f_list:
         raise ParamError("need at least one dual form")
     ring = f_list[0].ring
+    if any(f.ring is not ring for f in f_list):
+        raise ParamError("mixed rings")
     smax = max(f.degree for f in f_list)
     return _sift_generators(
-        ring, range(1, smax + 2),
+        ring, range(smax + 2),
         lambda d: _kernel_rows(ring, d, [contraction_map(f, d)
                                          for f in f_list if f.degree >= d]),
-        {"recipe": ["ann", len(f_list), smax]})
+        ["ann", len(f_list), smax])
 
 
 def perp_basis(c, j):
@@ -663,16 +667,12 @@ def is_relatively_compressed(ideal, c):
 # constructions
 
 
-def general_forms(ring, degrees, stream):
-    """Ideal of seeded random forms of the given degrees."""
-    gens = stream.forms(sorted(degrees))
-    prov = {
-        "recipe": ["general-forms"] + sorted(degrees),
-        "seed": stream.seed,
-        "n": ring.n,
-        "p": ring.p,
-    }
-    return GradedIdeal(ring, gens, prov)
+def general_forms(degrees, stream):
+    """Ideal of seeded random forms of the given degrees, in the ring of
+    the stream."""
+    degrees = sorted(degrees)
+    return GradedIdeal(stream.ring, stream.forms(degrees),
+                       ["general-forms"] + degrees)
 
 
 def general_element(ideal, d, stream):
@@ -693,9 +693,6 @@ def general_element(ideal, d, stream):
 def ci_in(ideal, degrees, stream):
     """General elements of the ideal in the given degrees (the usual way
     to choose a complete intersection inside an ideal before linking)."""
-    gens = [general_element(ideal, d, stream) for d in sorted(degrees)]
-    prov = {
-        "recipe": ["ci-in", sorted(degrees), ideal.provenance.get("recipe")],
-        "seed": stream.seed,
-    }
-    return GradedIdeal(ideal.ring, gens, prov)
+    degrees = sorted(degrees)
+    gens = [general_element(ideal, d, stream) for d in degrees]
+    return GradedIdeal(ideal.ring, gens, ["ci-in", degrees, ideal.recipe])

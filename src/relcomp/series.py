@@ -178,7 +178,7 @@ def rc_upper_bound_liaison(ci_degrees, socle_degrees, n):
     term1 = froberg_prediction(aux, n, e_prime)
     term2 = froberg_prediction(aux + residual_degrees, n, e_prime)
     return LiaisonBound(
-        series=linkage_hf(term1, term2, e_prime),
+        series=linkage_hf(term1, term2),
         e_prime=e_prime,
         aux_degrees=aux,
     )
@@ -202,18 +202,17 @@ def compressed_level_hf(n, s, c):
     return rc_min_bound([], n, s, c)
 
 
-def linkage_hf(h_ci, h_i, e=None):
+def linkage_hf(h_ci, h_i):
     """Hilbert function across a link: h_J(j) = h_ci(j) - h_I(e - j).
 
     h_ci must be the (finitely supported) Hilbert function of an
-    Artinian complete intersection with socle degree e.
+    Artinian complete intersection; e is its socle degree, its top degree.
     """
     if not isinstance(h_ci, HilbertSeries):
         h_ci = HilbertSeries(h_ci)
     if not isinstance(h_i, HilbertSeries):
         h_i = HilbertSeries(h_i)
-    if e is None:
-        e = h_ci.top_degree()
+    e = h_ci.top_degree()
     coeffs = []
     for j in range(e + 1):
         v = h_ci[j] - h_i[e - j]

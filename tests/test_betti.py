@@ -526,7 +526,7 @@ def test_ghost_classify_known_table():
         (2, 8): 3, (2, 9): 3, (2, 10): 3, (2, 11): 3,
         (3, 10): 1, (3, 11): 3, (3, 15): 3, (4, 19): 1,
     })
-    report = ghost_classify(t, socle_twist=19, n=4)
+    report = ghost_classify(t)
     got = {(e.i, e.j): e.cls for e in report.entries}
     assert got == {(1, 8): "KOSZUL", (1, 9): "NON_KOSZUL",
                    (2, 10): "NON_KOSZUL", (2, 11): "DUALITY_FORCED"}
@@ -536,7 +536,7 @@ def test_ghost_classify_koszul_only_table():
     # two cubic generators: the twist-6 repeat is the Koszul relation
     t = BettiTable({(0, 0): 1, (1, 3): 2, (1, 6): 1, (2, 6): 1, (2, 7): 2,
                     (3, 10): 1})
-    report = ghost_classify(t, n=3)
+    report = ghost_classify(t)
     entry = report.find(1, 6)
     assert entry is not None and entry.cls == "KOSZUL"
 
@@ -545,7 +545,7 @@ def test_ghost_classify_counts_copies():
     t = BettiTable({(0, 0): 1, (1, 3): 2, (1, 7): 2, (1, 9): 2, (1, 10): 3,
                     (2, 6): 1, (2, 10): 5, (2, 11): 12,
                     (3, 12): 7, (3, 14): 5, (4, 17): 2})
-    entry = ghost_classify(t, n=4).find(1, 10)
+    entry = ghost_classify(t).find(1, 10)
     assert entry.cls == "KOSZUL"
     assert entry.mult_upper == 5
     assert entry.koszul_upper == 4

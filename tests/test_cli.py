@@ -37,8 +37,7 @@ def test_parse_rejects_trailing_garbage():
 
 def test_eval_general_forms():
     ring = RingCtx(3, 32003)
-    ideal = eval_recipe(parse_recipe("general-forms(2,2,2)"), ring,
-                        FormStream(ring, 1))
+    ideal = eval_recipe(parse_recipe("general-forms(2,2,2)"), FormStream(ring, 1))
     assert isinstance(ideal, GradedIdeal)
     assert ideal.degrees() == [2, 2, 2]
 
@@ -46,14 +45,14 @@ def test_eval_general_forms():
 def test_eval_link_recipe():
     ring = RingCtx(3, 32003)
     res = eval_recipe(parse_recipe("link(ci(3,3,3), general-forms(3,3,3,1,1))"),
-                      ring, FormStream(ring, 1))
+                      FormStream(ring, 1))
     assert hilbert_function(res).text() == "1 3 6 7 5 2"
 
 
 def test_eval_ann_perp_pick():
     ring = RingCtx(3, 32003)
     algebra = eval_recipe(parse_recipe("ann(perp-pick(4, 5, ci(2)))"),
-                          ring, FormStream(ring, 1))
+                          FormStream(ring, 1))
     assert hilbert_function(algebra).text() == "1 3 5 7 9 4"
 
 
@@ -180,7 +179,7 @@ def test_resolve_witness(tmp_path, capsys):
     assert len(data["generators"]) == 3
     # replay: same seed, same recipe, same generators
     ring = RingCtx(3, 32003)
-    ideal = eval_recipe(parse_recipe("ci(2,2,2)"), ring, FormStream(ring, 7))
+    ideal = eval_recipe(parse_recipe("ci(2,2,2)"), FormStream(ring, 7))
     assert [g.text() for g in ideal.gens] == data["generators"]
 
 
@@ -258,6 +257,26 @@ def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, recipe, n,
     assert main(["resolve", recipe, "-n", n]) == 0
     assert "socle:" in capsys.readouterr().out
     assert len(built) == models
+
+
+def test_search_builds_one_complete_intersection_per_grid_point(monkeypatch, capsys,
+                                                                tmp_path):
+    # per instance the adjoined ideal's model and the residual's, which the
+    # residual carries; per (n, ci) one model of the complete intersection
+    built = []
+    init = QuotientBasis.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuotientBasis, "__init__", counting_init)
+    assert main(["search", "remark-4.10", "--max-degree", "3",
+                 "--out", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    grid_points = {(r.split(",")[1], r.split(";")[0]) for r in rows}
+    assert (len(rows), len(grid_points)) == (20, 4)
+    assert len(built) == 2 * len(rows) + len(grid_points)
 
 
 # --- every option is read ----------------------------------------------------

@@ -120,7 +120,7 @@ def test_linkage_involution_on_random_data():
         h_c = rational_series(degs, 3)
         e = h_c.top_degree()
         h_i = [int(rng.integers(0, h_c[j] + 1)) for j in range(e + 1)]
-        linked = linkage_hf(h_c, h_i, e)
-        back = linkage_hf(h_c, linked, e)
+        linked = linkage_hf(h_c, h_i)
+        back = linkage_hf(h_c, linked)
         assert [back[j] for j in range(e + 1)] == h_i
         trials += 1
