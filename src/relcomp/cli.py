@@ -327,9 +327,16 @@ def _run_search_instance(family, cideal, s, c, seed):
         if not prof.is_level or prof.socle_degree != s or prof.cm_type != c:
             return "SKIPPED", None
         report = ghost_classify(betti_numbers(res))
+        non_koszul = [e for e in report.entries if e.cls == "NON_KOSZUL"]
+        if family == "conj-4.7" and non_koszul:
+            # two-step link: back through the complete intersection, then by
+            # a complete intersection of the smallest generator degrees
+            back = ideal_quotient(cideal, res)
+            degs = sorted(d for d, m in minimal_generators(back) for _ in range(m))
+            c2 = ci_in(back, degs[:n], stream)
+            final = ideal_quotient(c2, back)
     except RelcompError:
         return "SKIPPED", None
-    non_koszul = [e for e in report.entries if e.cls == "NON_KOSZUL"]
     if family == "remark-4.10":
         return ("CONFIRMED" if not non_koszul else "DISCOVERY"), res
     if family == "conj-4.8":
@@ -337,12 +344,6 @@ def _run_search_instance(family, cideal, s, c, seed):
     if family == "conj-4.7":
         if not non_koszul:
             return "VACUOUS", None
-        # two-step link: back through the complete intersection, then by
-        # a complete intersection of the smallest generator degrees
-        back = ideal_quotient(cideal, res)
-        degs = sorted(d for d, m in minimal_generators(back) for _ in range(m))
-        c2 = ci_in(back, degs[:n], stream)
-        final = ideal_quotient(c2, back)
         linear = sum(m for d, m in minimal_generators(final) if d == 1)
         return ("CONFIRMED" if linear >= 2 else "DISCOVERY"), final
     raise ParamError("unknown search family %r" % family)

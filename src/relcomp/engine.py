@@ -20,9 +20,11 @@ are never changed after construction.  The degree up to which R/I is
 probed is the ideal's proven GradedIdeal.artinian_bound.  Every generator
 enters a model through QuotientBasis.sift, which records the ones it
 keeps (QuotientBasis.gens), a minimal generating set; minimal_generators
-reads them off the ideal's own model.  Colon ideals and annihilators sift
-their membership kernels degree by degree (_sift_generators) and return
-the kept generators with the sifting model as their quotient.
+reads them off the ideal's own model.  Colon ideals sift their membership
+kernels degree by degree (_sift_generators) and return the kept generators
+with the sifting model as their quotient.  An annihilator R/Ann(F) reads
+its model off the catalecticants of F, one rref per degree, and sifts its
+generators the same way, on that model, only when something reads them.
 
 On top of that sit Hilbert functions, graded Betti numbers via the
 homology of the Koszul complex tensored with A, minimal generator
@@ -142,6 +144,20 @@ class GradedIdeal:
         )
 
 
+class _Annihilator(GradedIdeal):
+    """Ann(F) (annihilator_ideal): gens is its model's, sifted when read."""
+
+    def __init__(self, forms, recipe):
+        self.ring, self.recipe = forms[0].ring, recipe
+        self.quotient = QuotientBasis(self.ring, forms=forms)
+        self._top = max(f.degree for f in forms) + 1
+
+    gens = property(lambda self: self.quotient.gens)
+
+    def artinian_bound(self):
+        return self._top
+
+
 class QuotientBasis:
     """Per-degree model of A = R/I, built degree by degree, whose state is
     _std[d] (the R_d positions of the monomials whose classes are the basis
@@ -191,26 +207,41 @@ class QuotientBasis:
     built (degree 0 on construction); sift proves that the result is the
     model a fresh build gives.  gens records the generators sift keeps: a
     minimal generating set of the ideal modelled, up to the top degree.
+    A model of R/Ann(F) (forms) reads each degree off the catalecticants
+    instead (_read_dual, proof in annihilator_ideal), and sifts gens on
+    their first read (_sift_dual).
     """
 
-    def __init__(self, ring, gens=()):
+    def __init__(self, ring, gens=(), forms=()):
         self.ring = ring
         self.gens_by_degree = {}
         for g in gens:
             self.gens_by_degree.setdefault(g.degree, []).append(g)
-        self.gens = []  # the generators sift kept, in the order kept
-        # degrees 0, ..., len(_std) - 1 are built
-        self._std = [np.zeros(1, dtype=np.int64)]
-        self._table = [PrimeMatrix(np.ones((1, 1), dtype=np.int64), ring.p)]
+        self._forms = list(forms)  # F: the model of R/Ann(F), gens sifted when read
+        self._gens = None if forms else []  # the generators sift kept, in order
         # _socle[d]: dim of the socle of A in degree d, read from A_d and A_{d+1}
         self._socle = {}
-        self._sift_given(0)
+        self._start()
+
+    def _start(self):
+        # degrees 0, ..., len(_std) - 1 are built: none yet of R/Ann(F)
+        self._std, self._table = [], []
+        if not self._forms:
+            self._std.append(np.zeros(1, dtype=np.int64))
+            self._table.append(PrimeMatrix(np.ones((1, 1), dtype=np.int64), self.ring.p))
+            self._sift_given(0)
+
+    @property
+    def gens(self):
+        if self._gens is None:
+            self._gens = self._sift_dual()
+        return self._gens
 
     def dim(self, d):
         if d < 0:
             return 0
         while len(self._std) <= d:
-            self._build(len(self._std))
+            (self._read_dual if self._forms else self._build)(len(self._std))
         return self._std[d].size
 
     def mult(self, k, d):
@@ -263,7 +294,7 @@ class QuotientBasis:
             pi, free = _kernel(PrimeMatrix._trusted(classes.a[:, kept].T, classes.p))
             self._std[d] = self._std[d][free]
             self._table[d] = pi.matmul(self._table[d])
-            self.gens += [HomogPoly(self.ring, d, rows[i]) for i in kept]
+            self._gens += [HomogPoly(self.ring, d, rows[i]) for i in kept]
         for e in (d - 1, d):  # the socle dims that read A_d
             self._socle.pop(e, None)
         return kept
@@ -309,6 +340,37 @@ class QuotientBasis:
         self._std.append(order[keys[free]])
         self._table.append(PrimeMatrix._trusted(table, p))
         self._sift_given(d)
+
+    def _read_dual(self, d):
+        """Degree d of R/Ann(F) from one rref of the catalecticants B(d),
+        columns in ascending degrevlex order (proof in annihilator_ideal)."""
+        ring = self.ring
+        cat = stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)]
+                    + [contraction_map(f, d) for f in self._forms if f.degree >= d])
+        asc = np.lexsort(ring.exponents(d).T)[::-1]
+        red, pivots = rref(PrimeMatrix._trusted(cat.a[:, asc], ring.p))
+        table = np.zeros((len(pivots), ring.dim(d)), dtype=np.int64)
+        table[:, asc] = red.a[:len(pivots)][::-1]
+        self._std.append(asc[pivots][::-1])
+        self._table.append(PrimeMatrix._trusted(table, ring.p))
+
+    def _sift_dual(self):
+        """The generators of R/Ann(F), sifted on this model rebuilt from degree
+        0, which must end on the arrays read off the catalecticants."""
+        forms, top = self._forms, max(f.degree for f in self._forms) + 1
+        self.dim(top)
+        read = self._std, self._table, self._socle
+        self._forms, self._gens, self._socle = [], [], {}
+        try:
+            self._start()
+            _sift_generators(self, range(top + 1), lambda d: _kernel_rows(
+                self.ring, d, [contraction_map(f, d) for f in forms if f.degree >= d]))
+            if not all(np.array_equal(a, b) and t == u for a, b, t, u
+                       in zip(self._std, read[0], self._table, read[1])):
+                raise InternalError("the sieve and the catalecticants disagree")
+            return self._gens
+        finally:
+            self._forms, self._gens, (self._std, self._table, self._socle) = forms, None, read
 
 
 def hilbert_function(ideal, cap=None):
@@ -365,6 +427,8 @@ def betti_numbers(ideal):
       independent of R_1 I_{j-1} and those kept before it, so qb.gens has
       beta_{1,j} of degree j: none above s + 1, as R_{s+1} lies in I, and
       the model is built to s + 1.  So for n <= 3 no rank is eliminated.
+      A model read off catalecticants has sifted nothing: it tries the two
+      rules below first, and sifts its generators only when neither applies.
     * When dim A_{e+1} = dim R_{e+1}, I vanishes in degrees <= e + 1 (R is
       a domain), so d_i(j) is the map of R's Koszul complex in degree j.
       That complex resolves R/(x_1, ..., x_n) and j >= 1, so it is exact
@@ -388,7 +452,6 @@ def betti_numbers(ideal):
     s = hf.top_degree()
     adim = [qb.dim(d) for d in range(s + 2)] + [0]  # A_{s+2} = 0 too
     soc = [qb.socle_dim(d) for d in range(s + 1)]
-    beta1 = Counter(g.degree for g in qb.gens)
     gorenstein = sum(soc) == 1
 
     subsets = {i: list(itertools.combinations(range(n), i)) for i in range(n + 1)}
@@ -406,12 +469,15 @@ def betti_numbers(ideal):
             return adim[e + 1]
         if i == n:
             return adim[e] - soc[e]
-        if i == 2:
-            return n * adim[e + 1] - adim[e + 2] - beta1[j]
-        if adim[e + 1] == ring.dim(e + 1):
+        strand = adim[e + 1] == ring.dim(e + 1)
+        mirror = gorenstein and 2 * e > s - 1
+        if i == 2 and (qb._gens is not None or not (strand or mirror)):
+            # reads the generators: a model read off catalecticants sifts them
+            return n * adim[e + 1] - adim[e + 2] - sum(g.degree == j for g in qb.gens)
+        if strand:
             return sum((-1) ** (i - 1 - k) * math.comb(n, k) * ring.dim(j - k)
                        for k in range(i))
-        if gorenstein and 2 * e > s - 1:
+        if mirror:
             return boundary_rank(n - i + 1, n + s - j)
         src = subsets[i]
         tgt = sub_index[i - 1]
@@ -500,25 +566,20 @@ def _require_contained(c, ideal, role):
                 % (g.degree, role))
 
 
-def _sift_generators(ring, degrees, candidates, recipe):
-    """The ideal of the generators QuotientBasis.sift keeps, in one model,
-    from the rows of candidates(d), d in degrees, carrying that model.
+def _sift_generators(model, degrees, candidates):
+    """Sift into a model with no generators, degree 0 alone built, the rows
+    of candidates(d), d in degrees; the generators it keeps are model.gens.
     candidates(d) gives the rows (a PrimeMatrix) and the dim A_d they
     leave: they are sifted only when they add generators, and any other
     dim raises InternalError.  Stops where the model vanishes."""
-    build = QuotientBasis(ring)
     for d in degrees:
-        if build.dim(d) == 0:
+        if model.dim(d) == 0:
             break
         rows, target = candidates(d)
-        if build.dim(d) > target:
-            build.sift(rows.a, d)
-        if build.dim(d) != target:
+        if model.dim(d) > target:
+            model.sift(rows.a, d)
+        if model.dim(d) != target:
             raise InternalError("inconsistent quotient dimensions in degree %d" % d)
-    ideal = GradedIdeal(ring, build.gens, recipe)
-    # complete now: it becomes the model GradedIdeal.quotient would build
-    ideal.__dict__["quotient"] = build
-    return ideal
 
 
 def _kernel_rows(ring, d, blocks):
@@ -566,31 +627,44 @@ def ideal_quotient(c, ideal):
             PrimeMatrix._trusted(f[ring.sum_index(e - k - d, d)[qc._std[e - k - d]]], p)
             for k, f in duals if d + k <= e])
 
-    return _sift_generators(ring, range(e + 2), candidates,
-                            ["quotient", c.recipe, ideal.recipe])
+    model = QuotientBasis(ring)
+    _sift_generators(model, range(e + 2), candidates)
+    colon = GradedIdeal(ring, model.gens, ["quotient", c.recipe, ideal.recipe])
+    colon.quotient = model  # complete: the model GradedIdeal.quotient would build
+    return colon
 
 
 def annihilator_ideal(f_list):
-    """The ideal of operators annihilating every given dual form.
+    """The ideal Ann(F) of operators annihilating every given dual form.
 
-    Degree d membership is the joint kernel of the contraction maps of
-    the forms of degree >= d, from degree 0 on (so zero forms give the
-    unit ideal); generators are extracted as in ideal_quotient.  Small
-    characteristic can degenerate the pairing (falling factorials vanish
-    mod p), which is allowed but worth remembering when interpreting
-    results.
+    Its model is read off the catalecticants, one rref per degree from
+    degree 0 on (zero forms give the unit ideal), and its Artinian bound
+    is s + 1, as R_{s+1} kills every form of degree <= s.  Let B(d) stack
+    the contraction maps R_d -> dual forms of the forms of degree >= d.
+    Contraction makes the dual forms an R-module in every characteristic,
+    so ker B(d) = Ann(F)_d, and the class of x^m in A_d is column m of
+    B(d).  Take the rref of B(d), columns in ascending degrevlex order:
+
+    * x^m minus a combination of smaller monomials lies in Ann(F)_d
+      exactly when column m depends on the columns before it.  So the
+      non-pivots are the leading monomials, and the pivots the standard
+      monomials: _std[d], in descending order.
+    * Each rref column writes the image of x^m in the basis of the pivot
+      images: its normal form, unique on the standard basis.  So the
+      first rank rows, in reversed order, are table(d).
+
+    So both arrays equal those of the sieve model of the generators.  The
+    generators are sifted once, on first read, from the kernels of the
+    B(d) as in ideal_quotient.  Small characteristic can degenerate the
+    pairing (falling factorials vanish mod p), which is allowed but worth
+    remembering when interpreting results.
     """
     if not f_list:
         raise ParamError("need at least one dual form")
     ring = f_list[0].ring
     if any(f.ring is not ring for f in f_list):
         raise ParamError("mixed rings")
-    smax = max(f.degree for f in f_list)
-    return _sift_generators(
-        ring, range(smax + 2),
-        lambda d: _kernel_rows(ring, d, [contraction_map(f, d)
-                                         for f in f_list if f.degree >= d]),
-        ["ann", len(f_list), smax])
+    return _Annihilator(f_list, ["ann", len(f_list), max(f.degree for f in f_list)])
 
 
 def perp_basis(c, j):

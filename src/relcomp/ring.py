@@ -20,6 +20,7 @@ of degree s is paired against operators through contraction, where a
 variable acts as the partial derivative with respect to its dual partner.
 """
 
+import itertools
 import math
 import re
 
@@ -39,14 +40,14 @@ __all__ = [
 
 
 def _monomials(n, d):
-    """All exponent tuples of length n with sum d, lex descending."""
-    if n == 1:
-        return [(d,)]
-    out = []
-    for a in range(d, -1, -1):
-        for tail in _monomials(n - 1, d - a):
-            out.append((a,) + tail)
-    return out
+    """All exponent tuples of length n with sum d, lex descending.  Stars and
+    bars: the cut points 0 <= c_1 <= ... <= c_{n-1} <= d, listed in lex
+    ascending order, have gaps (the exponents) in lex ascending order."""
+    count = math.comb(d + n - 1, n - 1)
+    cuts = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(d + 1), n - 1)), np.int64, count * (n - 1))
+    cuts = np.pad(cuts.reshape(count, n - 1), ((0, 0), (1, 1)), constant_values=((0, 0), (0, d)))
+    return list(map(tuple, np.diff(cuts)[::-1].tolist()))
 
 
 class RingCtx:

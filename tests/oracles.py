@@ -110,3 +110,15 @@ def _split_components(ring, vec, degs, m):
             comps.append(HomogPoly(ring, m - d, seg) if seg.any() else None)
         off += w
     return comps
+
+
+def monomials_recursive(n, d):
+    """All exponent tuples of length n with sum d, lex descending, by
+    recursion on the first exponent: the reference for ring._monomials."""
+    if n == 1:
+        return [(d,)]
+    out = []
+    for a in range(d, -1, -1):
+        for tail in monomials_recursive(n - 1, d - a):
+            out.append((a,) + tail)
+    return out

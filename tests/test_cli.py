@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import relcomp
+from relcomp import engine
 from relcomp.cli import eval_recipe, main, parse_recipe
 from relcomp.engine import GradedIdeal, QuotientBasis, hilbert_function
 from relcomp.errors import ParamError
@@ -259,6 +260,19 @@ def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, recipe, n,
     assert len(built) == models
 
 
+def test_compressed_gorenstein_resolve_sifts_nothing(monkeypatch, capsys):
+    # the model is read off the catalecticants, and every rank d_2 comes from
+    # R's strand or the Gorenstein mirror, so the generators are never sifted
+    def refuse(*args, **kwargs):
+        raise AssertionError("resolve built, sifted or took a kernel in the model")
+
+    monkeypatch.setattr(QuotientBasis, "_build", refuse)
+    monkeypatch.setattr(QuotientBasis, "sift", refuse)
+    monkeypatch.setattr(engine, "_kernel", refuse)
+    assert main(["resolve", "ann(perp-pick(1,8,ci(9)))", "-n", "6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["hf"] == [1, 6, 21, 56, 126, 56, 21, 6, 1]
+
+
 def test_search_builds_one_complete_intersection_per_grid_point(monkeypatch, capsys,
                                                                 tmp_path):
     # per instance the adjoined ideal's model and the residual's, which the
@@ -402,6 +416,18 @@ def test_search_tiny_grid(tmp_path, capsys):
     assert all("remark-4.10" in ln for ln in lines[1:])
     assert all(ln.endswith("CONFIRMED,") or "CONFIRMED" in ln
                for ln in lines[1:])
+
+
+def test_search_skips_a_failed_second_link(tmp_path, capsys):
+    # over GF(3) conj-4.7's second link at ci = 2,4,4, s = 5, c = 3 draws a
+    # linking ideal that is not Artinian: that row is SKIPPED, the rest run
+    assert main(["search", "conj-4.7", "--max-degree", "5", "--limit", "400",
+                 "-p", "3", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "family,n,p,seed,params,verdict,witness_path"
+    assert len(lines) == 401
+    assert 'conj-4.7,3,3,1,"ci=2,4,4;s=5;c=3",SKIPPED,' in lines
+    assert sum(",DISCOVERY," in ln for ln in lines) == 8
 
 
 def test_search_budget_flagged_incomplete(tmp_path, capsys):

@@ -502,7 +502,9 @@ def test_sieve_refuses_a_quotient_of_the_wrong_dimension(monkeypatch, kind):
     ring = ring3()
     stream = FormStream(ring, 5)
     if kind == "ann":
-        run = functools.partial(annihilator_ideal, stream.forms([4]))
+        # an annihilator sifts its generators when they are first read
+        ann = annihilator_ideal(stream.forms([4]))
+        run = functools.partial(getattr, ann, "gens")
     else:
         # the models of c and of the linked ideal sift their given
         # generators too: they are built before the fault is injected
@@ -577,7 +579,8 @@ def test_link_matches_the_product_definition(data):
             c.quotient.table(d + g.degree).matmul(ring.mult_map(g, d))
             for g in linked.gens if d + g.degree <= e])
 
-    want = engine._sift_generators(ring, range(e + 2), candidates, {})
+    want = QuotientBasis(ring)
+    engine._sift_generators(want, range(e + 2), candidates)
     assert [g.degree for g in got.gens] == [g.degree for g in want.gens]
     assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(got.gens, want.gens))
 
@@ -816,6 +819,78 @@ def test_annihilator_of_zero_form_is_the_unit_ideal():
     ann = annihilator_ideal([ring.zero(3)])
     assert hilbert_function(ann).text() == "0"
     assert minimal_generators(ann) == [(0, 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_catalecticant_model_matches_the_sifted_model(data):
+    # the model of R/Ann(F) read off the catalecticants, before anything
+    # sifts, against a fresh model of the generators its sieve keeps: one or
+    # several forms, a zero form among them (alone: the unit ideal), and
+    # degrees s >= p where the pairing degenerates
+    n = data.draw(st.integers(1, 5), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003]), label="p")
+    ring = RingCtx(n, p)
+    stream = FormStream(ring, data.draw(st.integers(1, 1000), label="seed"))
+    degrees = data.draw(st.lists(st.integers(0, ORACLE_TOP[n] if n > 1 else 6),
+                                 min_size=1, max_size=3), label="degrees")
+    forms = stream.forms(degrees)
+    if data.draw(st.booleans(), label="a zero form"):
+        forms[0] = ring.zero(degrees[0])
+    ideal = annihilator_ideal(forms)
+    model = ideal.quotient
+    top = ideal.artinian_bound()
+    read = [(model.table(d), model._std[d], model.socle_dim(d),
+             [model.mult(k, d) for k in range(n)]) for d in range(top + 2)]
+    assert model._gens is None  # nothing has sifted yet
+    fresh = QuotientBasis(ring, ideal.gens)
+    assert model.dim(top) == fresh.dim(top) == 0
+    for d, (table, std, socle_dim, mults) in enumerate(read):
+        assert np.array_equal(std, fresh._std[d])
+        assert table == fresh.table(d)
+        assert socle_dim == fresh.socle_dim(d)
+        assert mults == [fresh.mult(k, d) for k in range(n)]
+    if all(f.is_zero() for f in forms):
+        assert minimal_generators(ideal) == [(0, 1)]
+
+
+def test_annihilator_generators_are_sifted_once(monkeypatch):
+    # the first read of gens sifts them on the ideal's own model; later
+    # reads, minimal_generators and betti_numbers sift nothing
+    ring = ring3()
+    ideal = annihilator_ideal(FormStream(ring, 3).forms([4, 4]))
+    runs = []
+    true_sift = engine._sift_generators
+    monkeypatch.setattr(engine, "_sift_generators",
+                        lambda *args: runs.append(args) or true_sift(*args))
+    first = ideal.gens
+    assert len(runs) == 1
+    assert ideal.gens is first and ideal.quotient.gens is first
+    assert minimal_generators(ideal) == sorted(Counter(g.degree for g in first).items())
+    betti_numbers(ideal)
+    assert len(runs) == 1
+
+
+def test_a_failed_sieve_leaves_the_catalecticant_model(monkeypatch):
+    # the arrays read off the catalecticants are put back, and the next read
+    # of gens sifts again instead of returning a partial list
+    ring = ring3()
+    ideal = annihilator_ideal(FormStream(ring, 3).forms([4]))
+    model = ideal.quotient
+    model.dim(5)
+    std, tables = list(model._std), list(model._table)
+
+    def failing(*args):
+        raise InternalError("injected")
+
+    monkeypatch.setattr(engine, "_sift_generators", failing)
+    with pytest.raises(InternalError, match="injected"):
+        ideal.gens
+    assert model._gens is None and model._forms
+    assert all(np.array_equal(a, b) for a, b in zip(model._std, std))
+    assert model._table == tables
+    monkeypatch.undo()
+    assert minimal_generators(ideal) == minimal_generators(GradedIdeal(ring, ideal.gens))
 
 
 def test_annihilator_and_ideal_refuse_mixed_rings():

@@ -14,6 +14,9 @@ from relcomp.ring import (
     contraction_map,
     pairing_weights,
 )
+from relcomp.ring import _monomials
+
+from oracles import monomials_recursive
 
 
 def test_basis_is_lex_descending():
@@ -23,6 +26,13 @@ def test_basis_is_lex_descending():
     assert basis[-1] == (0, 0, 2)
     assert basis == sorted(basis, reverse=True)
     assert len(basis) == ring.dim(2) == 6
+
+
+def test_monomials_match_the_recursive_enumeration():
+    # stars and bars lists the tuples of the recursion, in the same order
+    for n in range(1, 8):
+        for d in range(13):
+            assert _monomials(n, d) == monomials_recursive(n, d)
 
 
 def test_dim_matches_binomial():
