@@ -47,7 +47,7 @@ from .engine import (
     minimal_generators,
     socle,
 )
-from .errors import RelcompError, ParamError
+from .errors import InternalError, RelcompError, ParamError
 from .ring import FormStream, RingCtx
 from .series import froberg_prediction
 
@@ -314,9 +314,9 @@ def _run_search_instance(family, cideal, s, c, seed):
     cideal, drawn first from a fresh stream of the seed, and evaluate the
     predicate.
 
-    Returns (verdict, ideal or None).  Instances where the construction
-    does not yield a level algebra of the requested socle data are
-    reported as SKIPPED (the predicate does not apply to them).
+    Returns (verdict, ideal or None).  An instance whose construction is
+    refused, or yields no level algebra of the requested socle data, is
+    SKIPPED; an InternalError, a defect of the program, propagates.
     """
     n = cideal.ring.n
     stream = FormStream(cideal.ring, seed)
@@ -335,6 +335,8 @@ def _run_search_instance(family, cideal, s, c, seed):
             degs = sorted(d for d, m in minimal_generators(back) for _ in range(m))
             c2 = ci_in(back, degs[:n], stream)
             final = ideal_quotient(c2, back)
+    except InternalError:
+        raise
     except RelcompError:
         return "SKIPPED", None
     if family == "remark-4.10":

@@ -14,17 +14,17 @@ is two arrays per degree d: _std[d], the standard monomials whose classes
 are the basis of A_d, and _table[d], the class of every monomial of R_d.
 The readers dim, mult, socle_dim and reduce derive the rest from them.
 
-Each GradedIdeal owns one QuotientBasis of its generators
-(GradedIdeal.quotient), shared by every reader of R/I; the generators
-are never changed after construction.  The degree up to which R/I is
-probed is the ideal's proven GradedIdeal.artinian_bound.  Every generator
-enters a model through QuotientBasis.sift, which records the ones it
-keeps (QuotientBasis.gens), a minimal generating set; minimal_generators
-reads them off the ideal's own model.  Colon ideals sift their membership
-kernels degree by degree (_sift_generators) and return the kept generators
-with the sifting model as their quotient.  An annihilator R/Ann(F) reads
-its model off the catalecticants of F, one rref per degree, and sifts its
-generators the same way, on that model, only when something reads them.
+Each GradedIdeal owns one QuotientBasis, shared by every reader of R/I.
+The degree up to which R/I is probed is the ideal's proven
+GradedIdeal.artinian_bound.  There are two ways in.  The sieve, for given
+generators: each enters the model through QuotientBasis.sift, which
+records the ones it keeps (QuotientBasis.gens), a minimal generating set;
+minimal_generators reads them off the ideal's own model.  The read, for an
+ideal given by membership blocks whose joint kernel in R_d is I_d: the
+catalecticants of F for R/Ann(F) (annihilator_ideal), and the gathers of
+the dual socle generator of R/c for a link c : I (ideal_quotient).  It
+reads each degree off one rref of the blocks, and sifts the generators
+into a fresh model only when something reads them.
 
 On top of that sit Hilbert functions, graded Betti numbers via the
 homology of the Koszul complex tensored with A, minimal generator
@@ -33,8 +33,8 @@ dual socle generator of the Gorenstein R/c, ideal_quotient), inverse-system
 annihilators, perpendicular spaces, and the relative-compression
 verdict.  A Koszul boundary rank is eliminated only when no theorem gives
 it: the end columns come from the dimensions and the socle of A, the strand
-below the initial degree of I is R's exact Koszul strand, and a Gorenstein
-A mirrors its high ranks onto low ones.
+below the initial degree of I is R's exact Koszul strand, a Gorenstein A
+mirrors its high ranks onto low ones, and rank d_2 comes from the model.
 """
 
 import functools
@@ -77,9 +77,8 @@ __all__ = [
 
 class GradedIdeal:
     """A homogeneous ideal given by fixed generators, the recipe that built
-    them (a nested list, or None) and the one model of R/I they define:
-    built on first read, or handed over by the colon or annihilator
-    computation that found the generators."""
+    them (a nested list, or None) and the one model of R/I they define,
+    built on first read."""
 
     def __init__(self, ring, gens, recipe=None):
         self.ring = ring
@@ -137,20 +136,18 @@ class GradedIdeal:
         return sum(degrees[-n:]) - n + 1
 
     def __repr__(self):
-        return "GradedIdeal(n=%d, p=%d, degrees=%s)" % (
-            self.ring.n,
-            self.ring.p,
-            self.degrees(),
-        )
+        # the recipe, not the generators: reading those can run a sieve
+        return "GradedIdeal(n=%d, p=%d, recipe=%r)" % (self.ring.n, self.ring.p, self.recipe)
 
 
 class _Annihilator(GradedIdeal):
-    """Ann(F) (annihilator_ideal): gens is its model's, sifted when read."""
+    """Ann(F) (annihilator_ideal) or c : I = Ann(I o Phi) (ideal_quotient),
+    read off its membership blocks; R/I vanishes from degree top on, and
+    gens is its model's, sifted when read."""
 
-    def __init__(self, forms, recipe):
-        self.ring, self.recipe = forms[0].ring, recipe
-        self.quotient = QuotientBasis(self.ring, forms=forms)
-        self._top = max(f.degree for f in forms) + 1
+    def __init__(self, ring, blocks, top, recipe):
+        self.ring, self.recipe, self._top = ring, recipe, top
+        self.quotient = QuotientBasis(ring, blocks=blocks)
 
     gens = property(lambda self: self.quotient.gens)
 
@@ -207,42 +204,61 @@ class QuotientBasis:
     built (degree 0 on construction); sift proves that the result is the
     model a fresh build gives.  gens records the generators sift keeps: a
     minimal generating set of the ideal modelled, up to the top degree.
-    A model of R/Ann(F) (forms) reads each degree off the catalecticants
-    instead (_read_dual, proof in annihilator_ideal), and sifts gens on
-    their first read (_sift_dual).
+    A model given membership blocks (blocks(d), a list of PrimeMatrix whose
+    joint kernel in R_d is I_d, empty where A_d = 0) reads each degree off
+    one rref of the stacked blocks B(d) instead (_read_dual, with its
+    proof).  Its gens are sifted on first read into a fresh model, from
+    the kernels of the B(d), and that model must end on the read arrays.
     """
 
-    def __init__(self, ring, gens=(), forms=()):
+    def __init__(self, ring, gens=(), blocks=None):
         self.ring = ring
         self.gens_by_degree = {}
         for g in gens:
             self.gens_by_degree.setdefault(g.degree, []).append(g)
-        self._forms = list(forms)  # F: the model of R/Ann(F), gens sifted when read
-        self._gens = None if forms else []  # the generators sift kept, in order
+        self._blocks = blocks  # the model of R/I read off B(d), gens sifted when read
+        self._gens = None if blocks else []  # the generators sift kept, in order
         # _socle[d]: dim of the socle of A in degree d, read from A_d and A_{d+1}
         self._socle = {}
-        self._start()
-
-    def _start(self):
-        # degrees 0, ..., len(_std) - 1 are built: none yet of R/Ann(F)
+        # degrees 0, ..., len(_std) - 1 are built: none yet of a read model
         self._std, self._table = [], []
-        if not self._forms:
+        if not blocks:
             self._std.append(np.zeros(1, dtype=np.int64))
-            self._table.append(PrimeMatrix(np.ones((1, 1), dtype=np.int64), self.ring.p))
+            self._table.append(PrimeMatrix(np.ones((1, 1), dtype=np.int64), ring.p))
             self._sift_given(0)
 
     @property
     def gens(self):
         if self._gens is None:
-            self._gens = self._sift_dual()
+            fresh = QuotientBasis(self.ring)
+            for d in itertools.count():
+                if fresh.dim(d) > self.dim(d):
+                    fresh.sift(kernel_basis(self._stacked(d)).a, d)
+                if fresh.dim(d) != self.dim(d):
+                    raise InternalError("inconsistent quotient dimensions in degree %d" % d)
+                if not (np.array_equal(fresh._std[d], self._std[d])
+                        and fresh.table(d) == self.table(d)):
+                    raise InternalError("the sieve and the catalecticants disagree")
+                if not fresh.dim(d):
+                    break
+            self._gens = fresh._gens
         return self._gens
 
     def dim(self, d):
         if d < 0:
             return 0
         while len(self._std) <= d:
-            (self._read_dual if self._forms else self._build)(len(self._std))
+            (self._read_dual if self._blocks else self._build)(len(self._std))
         return self._std[d].size
+
+    def span_dim(self, d):
+        """dim (R/J)_d, d >= 1, for J generated by I in degrees < d: dim A_d
+        plus the degree d generators when gens are known, and otherwise the
+        products M_d modulo the commutation relations (_build's proof)."""
+        if self._gens is not None:
+            return self.dim(d) + sum(g.degree == d for g in self._gens)
+        _, keys, _, rels = self._products(d)
+        return keys.size - rank(rels)
 
     def mult(self, k, d):
         """Multiplication by x_{k+1} as a matrix A_d -> A_{d+1} (k 0-based):
@@ -304,10 +320,12 @@ class QuotientBasis:
         if d in self.gens_by_degree:
             self.sift(np.array([g.coeffs for g in self.gens_by_degree[d]]), d)
 
-    def _build(self, d):
+    def _products(self, d):
+        """The degrevlex order of R_d, and the columns M_d (keys, pos) and the
+        nonzero relation rows of (R/J)_d; none of either when A_{d-1} = 0."""
         ring = self.ring
         n, p = ring.n, ring.p
-        a2 = self.dim(d - 2)
+        a2 = self.dim(d - 2) if self.dim(d - 1) else 0
         # columns: the distinct products x_k * b, b in _std[d - 1], in
         # descending degrevlex order (lexsort keys the last exponent first);
         # pos[i, k] is the column of x_{k+1} * _std[d - 1][i]
@@ -326,8 +344,13 @@ class QuotientBasis:
                 blk[:, pos[:, k]] -= mults[j]
                 rels.append(blk)
         rels = np.vstack(rels) % p
+        return order, keys, pos, PrimeMatrix._trusted(rels[rels.any(axis=1)], p)
+
+    def _build(self, d):
+        ring, p = self.ring, self.ring.p
+        order, keys, pos, rels = self._products(d)
         # vred: coordinates of every product in the basis of (R/J)_d
-        ker, free = _kernel(PrimeMatrix._trusted(rels[rels.any(axis=1)], p))
+        ker, free = _kernel(rels)
         vred = ker.a
         # table(d): the monomials x_{k+1} m of strip k reduce as the
         # products x_{k+1} b, b in _std[d - 1], applied to the classes of m
@@ -341,36 +364,31 @@ class QuotientBasis:
         self._table.append(PrimeMatrix._trusted(table, p))
         self._sift_given(d)
 
+    def _stacked(self, d):
+        """B(d): the blocks of degree d stacked, no rows when there are none."""
+        return stack([PrimeMatrix.zeros(0, self.ring.dim(d), self.ring.p)] + self._blocks(d))
+
     def _read_dual(self, d):
-        """Degree d of R/Ann(F) from one rref of the catalecticants B(d),
-        columns in ascending degrevlex order (proof in annihilator_ideal)."""
+        """Degree d of the model from one rref of B(d), columns in ascending
+        degrevlex order.  B(d) has kernel I_d, so it factors through a map
+        injective on A_d, and column m is the image of the class of x^m:
+
+        * x^m minus a combination of smaller monomials lies in I_d exactly
+          when column m depends on the columns before it.  So the
+          non-pivots are the leading monomials, and the pivots the standard
+          monomials: _std[d], in descending order.
+        * Each rref column writes the image of x^m in the basis of the pivot
+          images: its normal form, unique on the standard basis.  So the
+          first rank rows, in reversed order, are table(d).
+
+        So both arrays equal those of the sieve model of the generators."""
         ring = self.ring
-        cat = stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)]
-                    + [contraction_map(f, d) for f in self._forms if f.degree >= d])
         asc = np.lexsort(ring.exponents(d).T)[::-1]
-        red, pivots = rref(PrimeMatrix._trusted(cat.a[:, asc], ring.p))
+        red, pivots = rref(PrimeMatrix._trusted(self._stacked(d).a[:, asc], ring.p))
         table = np.zeros((len(pivots), ring.dim(d)), dtype=np.int64)
         table[:, asc] = red.a[:len(pivots)][::-1]
         self._std.append(asc[pivots][::-1])
         self._table.append(PrimeMatrix._trusted(table, ring.p))
-
-    def _sift_dual(self):
-        """The generators of R/Ann(F), sifted on this model rebuilt from degree
-        0, which must end on the arrays read off the catalecticants."""
-        forms, top = self._forms, max(f.degree for f in self._forms) + 1
-        self.dim(top)
-        read = self._std, self._table, self._socle
-        self._forms, self._gens, self._socle = [], [], {}
-        try:
-            self._start()
-            _sift_generators(self, range(top + 1), lambda d: _kernel_rows(
-                self.ring, d, [contraction_map(f, d) for f in forms if f.degree >= d]))
-            if not all(np.array_equal(a, b) and t == u for a, b, t, u
-                       in zip(self._std, read[0], self._table, read[1])):
-                raise InternalError("the sieve and the catalecticants disagree")
-            return self._gens
-        finally:
-            self._forms, self._gens, (self._std, self._table, self._socle) = forms, None, read
 
 
 def hilbert_function(ideal, cap=None):
@@ -420,15 +438,18 @@ def betti_numbers(ideal):
     * rank d_n(j) = dim A_e - dim soc(A)_e.  d_n sends a to
       (+-x_1 a, ..., +-x_n a), so its kernel is the common kernel of the
       variables on A_e, which is soc(A)_e.
-    * rank d_2(j) = n dim A_{e+1} - dim A_{e+2} - beta_{1,j}, the identity
-      for beta_{1,j} with rank d_1(j) = dim A_j.  beta_{1,j} = dim (I/mI)_j
-      counts the minimal generators of degree j (Eisenbud, The Geometry of
-      Syzygies, ch. 1).  sift keeps a degree j generator exactly when it is
-      independent of R_1 I_{j-1} and those kept before it, so qb.gens has
-      beta_{1,j} of degree j: none above s + 1, as R_{s+1} lies in I, and
-      the model is built to s + 1.  So for n <= 3 no rank is eliminated.
-      A model read off catalecticants has sifted nothing: it tries the two
-      rules below first, and sifts its generators only when neither applies.
+    * rank d_2(j) = n dim A_{j-1} - dim (R/J)_j, J generated by I in
+      degrees < j: the image of d_2(j) in A_{j-1} (x) L^1 = R_1 (x) A_{j-1}
+      is spanned by the commutation relations, so by bullets 1 and 2 of
+      QuotientBasis' proof its cokernel is (R/J)_j (span_dim).  A model
+      that knows its generators counts them, dim (R/J)_j = dim A_j +
+      beta_{1,j}: sift keeps a degree j generator exactly when it is
+      independent of R_1 I_{j-1} and those kept before it, and
+      beta_{1,j} = dim (I/mI)_j counts the minimal generators of degree j
+      (Eisenbud, The Geometry of Syzygies, ch. 1).  So for n <= 3 it
+      eliminates no rank.  Any other model eliminates the relations on the
+      products M_j and sifts nothing.  The rule comes after the two below,
+      which cost nothing: the mirrored rank is one the table reads anyway.
     * When dim A_{e+1} = dim R_{e+1}, I vanishes in degrees <= e + 1 (R is
       a domain), so d_i(j) is the map of R's Koszul complex in degree j.
       That complex resolves R/(x_1, ..., x_n) and j >= 1, so it is exact
@@ -450,7 +471,7 @@ def betti_numbers(ideal):
     n = ring.n
     qb, hf = _artinian_quotient(ideal)
     s = hf.top_degree()
-    adim = [qb.dim(d) for d in range(s + 2)] + [0]  # A_{s+2} = 0 too
+    adim = [qb.dim(d) for d in range(s + 2)]
     soc = [qb.socle_dim(d) for d in range(s + 1)]
     gorenstein = sum(soc) == 1
 
@@ -463,28 +484,23 @@ def betti_numbers(ideal):
         if i < 1 or i > n:
             return 0
         e = j - i  # internal degree of the coefficients in the source
-        if e < 0 or e > s or adim[e] == 0:
-            return 0
+        if e < 0 or e >= s or adim[e] == 0:
+            return 0  # the source A_e or the target A_{e+1} is 0
         if i == 1:
             return adim[e + 1]
         if i == n:
             return adim[e] - soc[e]
-        strand = adim[e + 1] == ring.dim(e + 1)
-        mirror = gorenstein and 2 * e > s - 1
-        if i == 2 and (qb._gens is not None or not (strand or mirror)):
-            # reads the generators: a model read off catalecticants sifts them
-            return n * adim[e + 1] - adim[e + 2] - sum(g.degree == j for g in qb.gens)
-        if strand:
+        if adim[e + 1] == ring.dim(e + 1):
             return sum((-1) ** (i - 1 - k) * math.comb(n, k) * ring.dim(j - k)
                        for k in range(i))
-        if mirror:
+        if gorenstein and 2 * e > s - 1:
             return boundary_rank(n - i + 1, n + s - j)
+        if i == 2:
+            return n * adim[e + 1] - qb.span_dim(j)
         src = subsets[i]
         tgt = sub_index[i - 1]
         rows = adim[e + 1] * len(subsets[i - 1])
         cols = adim[e] * len(src)
-        if rows == 0 or cols == 0:
-            return 0
         # the blocks x_l and -x_l, reduced once; m is written once
         plus = [qb.mult(l, e).a for l in range(n)]
         signed = (plus, [-b % ring.p for b in plus])
@@ -566,32 +582,10 @@ def _require_contained(c, ideal, role):
                 % (g.degree, role))
 
 
-def _sift_generators(model, degrees, candidates):
-    """Sift into a model with no generators, degree 0 alone built, the rows
-    of candidates(d), d in degrees; the generators it keeps are model.gens.
-    candidates(d) gives the rows (a PrimeMatrix) and the dim A_d they
-    leave: they are sifted only when they add generators, and any other
-    dim raises InternalError.  Stops where the model vanishes."""
-    for d in degrees:
-        if model.dim(d) == 0:
-            break
-        rows, target = candidates(d)
-        if model.dim(d) > target:
-            model.sift(rows.a, d)
-        if model.dim(d) != target:
-            raise InternalError("inconsistent quotient dimensions in degree %d" % d)
-
-
-def _kernel_rows(ring, d, blocks):
-    """The joint kernel of the blocks in R_d (all of R_d when there are
-    none), as the rows of a PrimeMatrix, and dim R_d minus its dimension."""
-    ker = kernel_basis(stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + blocks))
-    return ker, ring.dim(d) - ker.rows
-
-
 def ideal_quotient(c, ideal):
-    """The colon ideal c : I by a complete intersection c, with generators
-    found degree by degree up to one past the socle degree e of R/c.
+    """The colon ideal c : I by a complete intersection c, read off its
+    membership blocks in degrees up to the socle degree e of R/c, past
+    which it is all of R.
 
     An Artinian ideal with n minimal generators is a complete intersection,
     so R/c is Gorenstein (any other c raises ParamError): A_e is its socle,
@@ -602,9 +596,11 @@ def ideal_quotient(c, ideal):
     exactly when Phi(h f g) = 0 for every h in R_{e-k-d}, and as Phi kills
     c, standard monomials h suffice.  So the gather of g o Phi at h + f
     has kernel (c : g)_d (no condition when d + k > e), and the blocks of
-    all g have the joint kernel (c : I)_d.  kernel_basis depends only on
-    that kernel (the rref of the row space it annihilates), so the sifted
-    generators are those of the product blocks table(d + k) g, bit for bit.
+    all g have the joint kernel (c : I)_d: the model reads its degree d
+    (QuotientBasis._read_dual), and its Artinian bound is e + 1.  The
+    generators, sifted when read from kernel_basis of the blocks, depend
+    only on that kernel (the rref of the row space it annihilates), so they
+    are those of the product blocks table(d + k) g, bit for bit.
     """
     ring, p = c.ring, c.ring.p
     qc, h_c = _artinian_quotient(c)
@@ -622,16 +618,11 @@ def ideal_quotient(c, ideal):
 
     duals = [contract(g) for g in ideal.gens if g.degree <= e]
 
-    def candidates(d):
-        return _kernel_rows(ring, d, [
-            PrimeMatrix._trusted(f[ring.sum_index(e - k - d, d)[qc._std[e - k - d]]], p)
-            for k, f in duals if d + k <= e])
+    def blocks(d):
+        return [PrimeMatrix._trusted(f[ring.sum_index(e - k - d, d)[qc._std[e - k - d]]], p)
+                for k, f in duals if d + k <= e]
 
-    model = QuotientBasis(ring)
-    _sift_generators(model, range(e + 2), candidates)
-    colon = GradedIdeal(ring, model.gens, ["quotient", c.recipe, ideal.recipe])
-    colon.quotient = model  # complete: the model GradedIdeal.quotient would build
-    return colon
+    return _Annihilator(ring, blocks, e + 1, ["quotient", c.recipe, ideal.recipe])
 
 
 def annihilator_ideal(f_list):
@@ -639,32 +630,24 @@ def annihilator_ideal(f_list):
 
     Its model is read off the catalecticants, one rref per degree from
     degree 0 on (zero forms give the unit ideal), and its Artinian bound
-    is s + 1, as R_{s+1} kills every form of degree <= s.  Let B(d) stack
-    the contraction maps R_d -> dual forms of the forms of degree >= d.
-    Contraction makes the dual forms an R-module in every characteristic,
-    so ker B(d) = Ann(F)_d, and the class of x^m in A_d is column m of
-    B(d).  Take the rref of B(d), columns in ascending degrevlex order:
-
-    * x^m minus a combination of smaller monomials lies in Ann(F)_d
-      exactly when column m depends on the columns before it.  So the
-      non-pivots are the leading monomials, and the pivots the standard
-      monomials: _std[d], in descending order.
-    * Each rref column writes the image of x^m in the basis of the pivot
-      images: its normal form, unique on the standard basis.  So the
-      first rank rows, in reversed order, are table(d).
-
-    So both arrays equal those of the sieve model of the generators.  The
-    generators are sifted once, on first read, from the kernels of the
-    B(d) as in ideal_quotient.  Small characteristic can degenerate the
-    pairing (falling factorials vanish mod p), which is allowed but worth
-    remembering when interpreting results.
+    is s + 1, as R_{s+1} kills every form of degree <= s.  The blocks of
+    degree d are the contraction maps R_d -> dual forms of the forms of
+    degree >= d.  Contraction makes the dual forms an R-module in every
+    characteristic, so their joint kernel is Ann(F)_d, and the model
+    reads degree d off them (QuotientBasis._read_dual).  The generators
+    are sifted once, on first read, from the kernels of the blocks.  Small
+    characteristic can degenerate the pairing (falling factorials vanish
+    mod p), which is allowed but worth remembering when interpreting
+    results.
     """
     if not f_list:
         raise ParamError("need at least one dual form")
     ring = f_list[0].ring
     if any(f.ring is not ring for f in f_list):
         raise ParamError("mixed rings")
-    return _Annihilator(f_list, ["ann", len(f_list), max(f.degree for f in f_list)])
+    s = max(f.degree for f in f_list)
+    return _Annihilator(ring, lambda d: [contraction_map(f, d) for f in f_list if f.degree >= d],
+                        s + 1, ["ann", len(f_list), s])
 
 
 def perp_basis(c, j):
@@ -675,7 +658,7 @@ def perp_basis(c, j):
     of degree <= j contracts F to zero.
     """
     blocks = [contract_by_poly(g, j) for g in c.gens if g.degree <= j]
-    return _kernel_rows(c.ring, j, blocks)[0]
+    return kernel_basis(stack([PrimeMatrix.zeros(0, c.ring.dim(j), c.ring.p)] + blocks))
 
 
 MEETS_CONJECTURED_BOUND = "MEETS_CONJECTURED_BOUND"

@@ -5,6 +5,9 @@ kernel of each presentation matrix degree by degree and keeps the kernel
 vectors that the shifts of those found before it do not span.  Unlike
 relcomp.engine.betti_numbers it uses no Koszul homology, no rank rule and
 no generator count of the model's sieve.
+
+sift_generators is the eager sieve that colon ideals once ran: the joint
+kernel of membership blocks (kernel_rows), sifted degree by degree.
 """
 
 from collections import Counter
@@ -13,8 +16,8 @@ import numpy as np
 
 from relcomp.betti import BettiTable
 from relcomp.engine import hilbert_function
-from relcomp.errors import NotArtinianError
-from relcomp.gfp import PrimeMatrix, kernel_basis, rref
+from relcomp.errors import InternalError, NotArtinianError
+from relcomp.gfp import PrimeMatrix, kernel_basis, rref, stack
 from relcomp.ring import HomogPoly
 
 
@@ -122,3 +125,26 @@ def monomials_recursive(n, d):
         for tail in monomials_recursive(n - 1, d - a):
             out.append((a,) + tail)
     return out
+
+
+def sift_generators(model, degrees, candidates):
+    """Sift into a model with no generators, degree 0 alone built, the rows
+    of candidates(d), d in degrees; the generators it keeps are model.gens.
+    candidates(d) gives the rows (a PrimeMatrix) and the dim A_d they
+    leave: they are sifted only when they add generators, and any other
+    dim raises InternalError.  Stops where the model vanishes."""
+    for d in degrees:
+        if model.dim(d) == 0:
+            break
+        rows, target = candidates(d)
+        if model.dim(d) > target:
+            model.sift(rows.a, d)
+        if model.dim(d) != target:
+            raise InternalError("inconsistent quotient dimensions in degree %d" % d)
+
+
+def kernel_rows(ring, d, blocks):
+    """The joint kernel of the blocks in R_d (all of R_d when there are
+    none), as the rows of a PrimeMatrix, and dim R_d minus its dimension."""
+    ker = kernel_basis(stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + blocks))
+    return ker, ring.dim(d) - ker.rows

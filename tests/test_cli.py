@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import relcomp
-from relcomp import engine
+from relcomp import cli, engine
 from relcomp.cli import eval_recipe, main, parse_recipe
 from relcomp.engine import GradedIdeal, QuotientBasis, hilbert_function
-from relcomp.errors import ParamError
+from relcomp.errors import InternalError, ParamError
 from relcomp.ring import FormStream, RingCtx
 
 
@@ -428,6 +428,18 @@ def test_search_skips_a_failed_second_link(tmp_path, capsys):
     assert len(lines) == 401
     assert 'conj-4.7,3,3,1,"ci=2,4,4;s=5;c=3",SKIPPED,' in lines
     assert sum(",DISCOVERY," in ln for ln in lines) == 8
+
+
+def test_search_reports_a_defect_of_the_program(monkeypatch, tmp_path, capsys):
+    # an InternalError is no SKIPPED row: the search stops with exit 2
+    def defect(ideal):
+        raise InternalError("injected")
+
+    monkeypatch.setattr(cli, "betti_numbers", defect)
+    assert main(["search", "remark-4.10", "--max-degree", "3", "--limit", "3",
+                 "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert "error: injected" in err and "SKIPPED" not in out
 
 
 def test_search_budget_flagged_incomplete(tmp_path, capsys):

@@ -37,7 +37,7 @@ from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref
 from relcomp.ring import FormStream, HomogPoly, RingCtx
 from relcomp.series import froberg_prediction, linkage_hf
 
-from oracles import betti_numbers_syzygy
+from oracles import betti_numbers_syzygy, kernel_rows, sift_generators
 
 
 def ring3(p=32003):
@@ -468,9 +468,9 @@ def test_minimal_generators_match_both_betti_routes(data):
 
 def test_minimal_generators_read_a_sifted_ideal(monkeypatch):
     # every ideal's model records the generators its sieve kept: for a
-    # colon ideal or an annihilator (minimally generated by construction)
-    # and for given generators whose model betti_numbers built, they are
-    # read, and nothing is built or eliminated
+    # colon ideal or an annihilator (minimally generated by construction,
+    # sifted when gens is first read) and for given generators whose model
+    # betti_numbers built, they are read, and nothing is built or eliminated
     ring = ring3()
     stream = FormStream(ring, 4)
     c = general_forms((3, 3, 3), stream)
@@ -480,6 +480,8 @@ def test_minimal_generators_read_a_sifted_ideal(monkeypatch):
               GradedIdeal(ring, [f, ring.variable(1) * f] + stream.forms([3, 4]))]
     want = [first_column(betti_numbers(ideal)) for ideal in sifted]
     assert want[-1] == [(2, 1), (3, 1), (4, 1)]
+    for ideal in sifted[:2]:
+        ideal.gens
 
     def refuse(*args, **kwargs):
         raise AssertionError("minimal_generators built or eliminated a matrix")
@@ -503,19 +505,15 @@ def test_sieve_refuses_a_quotient_of_the_wrong_dimension(monkeypatch, kind):
     stream = FormStream(ring, 5)
     if kind == "ann":
         # an annihilator sifts its generators when they are first read
-        ann = annihilator_ideal(stream.forms([4]))
-        run = functools.partial(getattr, ann, "gens")
+        read = annihilator_ideal(stream.forms([4]))
     else:
-        # the models of c and of the linked ideal sift their given
-        # generators too: they are built before the fault is injected
+        # so does a link; the models of c and of the linked ideal sift
+        # their given generators, before the fault is injected
         c = general_forms((3, 3, 3), stream)
-        linked = GradedIdeal(ring, c.gens + stream.forms([2]))
-        hilbert_function(c)
-        linked.quotient.dim(3)
-        run = functools.partial(ideal_quotient, c, linked)
+        read = ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2])))
     monkeypatch.setattr(QuotientBasis, "sift", dropping)
     with pytest.raises(InternalError, match="inconsistent quotient dimensions"):
-        run()
+        read.gens
 
 
 def test_socle_of_square_of_maximal_ideal():
@@ -544,17 +542,15 @@ def test_quotient_requires_containment():
         ideal_quotient(a, b)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_link_matches_the_product_definition(data):
-    # oracle: the membership blocks of the product definition, the classes
-    # of g*m in R/c for every generator g of J and monomial m of R_d; the
-    # generators sifted from them must be those of the link, array for array
-    n = data.draw(st.integers(1, 4), label="n")
+def draw_link(data, top_n=4):
+    """A ring, a complete intersection c (monomial or general) and an ideal
+    J = c + (extra forms) to link, over 1 to top_n variables and four
+    primes; c has degrees 2 and 3, only 2 in five variables."""
+    n = data.draw(st.integers(1, top_n), label="n")
     p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p")
     ring = RingCtx(n, p)
     stream = FormStream(ring, data.draw(st.integers(1, 1000), label="seed"))
-    degrees = data.draw(st.lists(st.integers(2, 3), min_size=n, max_size=n),
+    degrees = data.draw(st.lists(st.integers(2, 3 if n < 5 else 2), min_size=n, max_size=n),
                         label="c degrees")
     if data.draw(st.booleans(), label="monomial c"):
         c = GradedIdeal(ring, [ring.monomial(tuple(a if i == k else 0 for i in range(n)))
@@ -570,19 +566,52 @@ def test_link_matches_the_product_definition(data):
         if data.draw(st.booleans(), label="every coefficient p - 1"):
             f = HomogPoly(ring, k, np.full(ring.dim(k), p - 1))
         extra.append(f)
-    linked = GradedIdeal(ring, c.gens + extra)
+    return ring, c, GradedIdeal(ring, c.gens + extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_link_matches_the_product_definition(data):
+    # oracle: the membership blocks of the product definition, the classes
+    # of g*m in R/c for every generator g of J and monomial m of R_d; the
+    # generators sifted from them must be those of the link, array for array
+    ring, c, linked = draw_link(data)
     got = ideal_quotient(c, linked)
-    e = h_c.top_degree()
+    e = hilbert_function(c).top_degree()
 
     def candidates(d):
-        return engine._kernel_rows(ring, d, [
+        return kernel_rows(ring, d, [
             c.quotient.table(d + g.degree).matmul(ring.mult_map(g, d))
             for g in linked.gens if d + g.degree <= e])
 
     want = QuotientBasis(ring)
-    engine._sift_generators(want, range(e + 2), candidates)
+    sift_generators(want, range(e + 2), candidates)
     assert [g.degree for g in got.gens] == [g.degree for g in want.gens]
     assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(got.gens, want.gens))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_link_is_read_without_a_sieve(monkeypatch, n):
+    # once the models of c and J are built, the link's model, its Hilbert
+    # function, socle and Betti table build, sift and take no kernel
+    ring = RingCtx(n, 32003)
+    stream = FormStream(ring, 6)
+    c = general_forms((3,) * n, stream)
+    linked = GradedIdeal(ring, c.gens + stream.forms([2]))
+    for ideal in (c, linked):
+        hilbert_function(ideal)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the link built, sifted or took a kernel")
+
+    monkeypatch.setattr(QuotientBasis, "_build", refuse)
+    monkeypatch.setattr(QuotientBasis, "sift", refuse)
+    monkeypatch.setattr(engine, "_kernel", refuse)
+    link = ideal_quotient(c, linked)
+    got = hilbert_function(link), socle(link), betti_numbers(link)
+    monkeypatch.undo()
+    sifted = GradedIdeal(ring, link.gens)
+    assert got == (hilbert_function(sifted), socle(sifted), betti_numbers(sifted))
 
 
 def test_link_refuses_a_linking_ideal_that_is_not_a_complete_intersection():
@@ -765,27 +794,69 @@ def test_socle_ranks_are_computed_once(monkeypatch):
 
 def test_betti_numbers_of_three_variables_eliminate_nothing(monkeypatch):
     # rank d_1, d_2 and d_3 all come from rules: once the socle ranks are
-    # known, a table of R/I in three variables eliminates no matrix
-    ideals = []
+    # known, a table of R/I in three variables eliminates no matrix but the
+    # relations of a read model whose generators are unknown, which give
+    # dim (R/J)_j for rank d_2(j), once per degree
+    sieved, read = [], []
     for p in (2, 32003):
         ring = ring3(p)
         stream = FormStream(ring, 5)
         cubes = [ring.monomial(tuple(3 * (i == k) for i in range(3))) for k in range(3)]
         f = stream.form(2)
-        ideals += [general_forms((2, 2, 3, 3), stream),
-                   GradedIdeal(ring, cubes + [f, ring.variable(1) * f, stream.form(3)]),
-                   annihilator_ideal(stream.forms([4, 4])),
-                   ideal_quotient(GradedIdeal(ring, cubes),
-                                  GradedIdeal(ring, cubes + stream.forms([2])))]
-    for ideal in ideals:
+        sieved += [general_forms((2, 2, 3, 3), stream),
+                   GradedIdeal(ring, cubes + [f, ring.variable(1) * f, stream.form(3)])]
+        read += [annihilator_ideal(stream.forms([4, 4])),
+                 ideal_quotient(GradedIdeal(ring, cubes),
+                                GradedIdeal(ring, cubes + stream.forms([2])))]
+    for ideal in sieved + read:
         socle(ideal)
+    calls = []
+    true_rank = engine.rank
 
     def refuse(m):
-        raise AssertionError("betti_numbers eliminated a Koszul boundary")
+        caller = sys._getframe(1)
+        if caller.f_code is not QuotientBasis.span_dim.__code__:
+            raise AssertionError("betti_numbers eliminated a Koszul boundary")
+        calls.append((id(caller.f_locals["self"]), caller.f_locals["d"]))
+        return true_rank(m)
 
     monkeypatch.setattr(engine, "rank", refuse)
-    for ideal in ideals:
+    for ideal in sieved + read:
         assert betti_numbers(ideal) == oracle_betti_numbers(ideal)
+    assert calls and len(set(calls)) == len(calls)
+    assert {model for model, _ in calls} <= {id(ideal.quotient) for ideal in read}
+    # the oracle read the generators: now the rule counts them
+    calls.clear()
+    for ideal in read:
+        assert betti_numbers(ideal) == oracle_betti_numbers(ideal)
+    assert calls == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_span_dim_counts_the_generators(data):
+    # read annihilators and links: dim (R/J)_d from the relations, before
+    # anything sifts, is dim A_d + beta_{1,d} once the generators are
+    # sifted, in every degree; and their Betti tables, which took rank d_2
+    # from it, match the all-ranks oracle up to five variables
+    if data.draw(st.booleans(), label="link"):
+        ring, c, linked = draw_link(data, top_n=5)
+        ideal = ideal_quotient(c, linked)
+    else:
+        n = data.draw(st.integers(1, 5), label="n")
+        ring = RingCtx(n, data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p"))
+        stream = FormStream(ring, data.draw(st.integers(1, 1000), label="seed"))
+        degrees = data.draw(st.lists(st.integers(1, ORACLE_TOP.get(n, 6)), min_size=1,
+                                     max_size=3), label="degrees")
+        ideal = annihilator_ideal(stream.forms(degrees))
+    model = ideal.quotient
+    degrees = range(1, ideal.artinian_bound() + 2)
+    spans = [model.span_dim(d) for d in degrees]
+    table = betti_numbers(ideal)
+    assert model._gens is None
+    beta1 = Counter(g.degree for g in ideal.gens)
+    assert spans == [model.dim(d) + beta1[d] for d in degrees]
+    assert table == oracle_betti_numbers(ideal)
 
 
 def test_betti_oracle_agreement_fixed_cases():
@@ -838,42 +909,64 @@ def test_catalecticant_model_matches_the_sifted_model(data):
     if data.draw(st.booleans(), label="a zero form"):
         forms[0] = ring.zero(degrees[0])
     ideal = annihilator_ideal(forms)
+    assert_read_model_matches_the_sifted_model(ideal)
+    if all(f.is_zero() for f in forms):
+        assert minimal_generators(ideal) == [(0, 1)]
+
+
+def assert_read_model_matches_the_sifted_model(ideal):
+    """The model read off the membership blocks, before anything sifts,
+    against a fresh model of the generators its sieve keeps."""
+    n = ideal.ring.n
     model = ideal.quotient
     top = ideal.artinian_bound()
     read = [(model.table(d), model._std[d], model.socle_dim(d),
              [model.mult(k, d) for k in range(n)]) for d in range(top + 2)]
     assert model._gens is None  # nothing has sifted yet
-    fresh = QuotientBasis(ring, ideal.gens)
+    fresh = QuotientBasis(ideal.ring, ideal.gens)
     assert model.dim(top) == fresh.dim(top) == 0
     for d, (table, std, socle_dim, mults) in enumerate(read):
         assert np.array_equal(std, fresh._std[d])
         assert table == fresh.table(d)
         assert socle_dim == fresh.socle_dim(d)
         assert mults == [fresh.mult(k, d) for k in range(n)]
-    if all(f.is_zero() for f in forms):
-        assert minimal_generators(ideal) == [(0, 1)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_link_model_matches_the_sifted_model(data):
+    # the link c : J, read off the gathers of the dual socle generator of
+    # R/c, against a fresh model of the generators its sieve keeps
+    ring, c, linked = draw_link(data)
+    assert_read_model_matches_the_sifted_model(ideal_quotient(c, linked))
 
 
 def test_annihilator_generators_are_sifted_once(monkeypatch):
-    # the first read of gens sifts them on the ideal's own model; later
-    # reads, minimal_generators and betti_numbers sift nothing
+    # the first read of gens sifts them into one fresh model, for an
+    # annihilator and a link alike; later reads, minimal_generators and
+    # betti_numbers sift nothing
     ring = ring3()
-    ideal = annihilator_ideal(FormStream(ring, 3).forms([4, 4]))
+    stream = FormStream(ring, 4)
+    c = general_forms((3, 3, 3), stream)
+    ideals = [annihilator_ideal(FormStream(ring, 3).forms([4, 4])),
+              ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2])))]
     runs = []
-    true_sift = engine._sift_generators
-    monkeypatch.setattr(engine, "_sift_generators",
-                        lambda *args: runs.append(args) or true_sift(*args))
-    first = ideal.gens
-    assert len(runs) == 1
-    assert ideal.gens is first and ideal.quotient.gens is first
-    assert minimal_generators(ideal) == sorted(Counter(g.degree for g in first).items())
-    betti_numbers(ideal)
-    assert len(runs) == 1
+    init = QuotientBasis.__init__
+    monkeypatch.setattr(QuotientBasis, "__init__",
+                        lambda self, *args, **kw: runs.append(args) or init(self, *args, **kw))
+    for ideal in ideals:
+        runs.clear()
+        first = ideal.gens
+        assert len(runs) == 1
+        assert ideal.gens is first and ideal.quotient.gens is first
+        assert minimal_generators(ideal) == sorted(Counter(g.degree for g in first).items())
+        betti_numbers(ideal)
+        assert len(runs) == 1
 
 
 def test_a_failed_sieve_leaves_the_catalecticant_model(monkeypatch):
-    # the arrays read off the catalecticants are put back, and the next read
-    # of gens sifts again instead of returning a partial list
+    # the arrays read off the catalecticants stay, and the next read of gens
+    # sifts again instead of returning a partial list
     ring = ring3()
     ideal = annihilator_ideal(FormStream(ring, 3).forms([4]))
     model = ideal.quotient
@@ -883,14 +976,43 @@ def test_a_failed_sieve_leaves_the_catalecticant_model(monkeypatch):
     def failing(*args):
         raise InternalError("injected")
 
-    monkeypatch.setattr(engine, "_sift_generators", failing)
+    monkeypatch.setattr(QuotientBasis, "sift", failing)
     with pytest.raises(InternalError, match="injected"):
         ideal.gens
-    assert model._gens is None and model._forms
+    assert model._gens is None and model._blocks
     assert all(np.array_equal(a, b) for a, b in zip(model._std, std))
     assert model._table == tables
     monkeypatch.undo()
     assert minimal_generators(ideal) == minimal_generators(GradedIdeal(ring, ideal.gens))
+
+
+def test_the_sieve_refuses_a_read_model_it_does_not_end_on():
+    # a table read wrong in one degree, of the right size, is a defect
+    ring = ring3()
+    ideal = annihilator_ideal(FormStream(ring, 3).forms([4]))
+    model = ideal.quotient
+    model.dim(2)
+    model._table[2] = PrimeMatrix(2 * model._table[2].a, ring.p)
+    with pytest.raises(InternalError, match="the sieve and the catalecticants disagree"):
+        ideal.gens
+
+
+def test_repr_reads_no_generators(monkeypatch):
+    ring = ring3()
+    stream = FormStream(ring, 4)
+    c = general_forms((3, 3, 3), stream)
+    ideals = [annihilator_ideal(stream.forms([4])),
+              ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2]))), c]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("repr built a model or sifted")
+
+    monkeypatch.setattr(QuotientBasis, "__init__", refuse)
+    monkeypatch.setattr(QuotientBasis, "sift", refuse)
+    assert [repr(ideal) for ideal in ideals] == [
+        "GradedIdeal(n=3, p=32003, recipe=['ann', 1, 4])",
+        "GradedIdeal(n=3, p=32003, recipe=['quotient', ['general-forms', 3, 3, 3], None])",
+        "GradedIdeal(n=3, p=32003, recipe=['general-forms', 3, 3, 3])"]
 
 
 def test_annihilator_and_ideal_refuse_mixed_rings():
