@@ -15,6 +15,8 @@ Fixture values are exact integers; a case passes only on exact agreement.
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .betti import (
     BettiTable,
     FreeModule,
@@ -137,14 +139,19 @@ def link_general(ci_degrees, gen_degrees, stream):
 
 
 def perp_picks(c, j, count, stream):
-    """Random elements of the perpendicular space of c in dual degree j."""
-    basis = perp_basis(c, j)
-    if not basis.rows:
+    """Random nonzero elements of the perpendicular space of c in dual degree j,
+    each drawn at the free columns of perp_basis' rref and solved for its pivots."""
+    red, pivots = perp_basis(c, j)
+    free = np.delete(np.arange(red.cols), pivots)
+    if not free.size:
         raise ParamError("the perpendicular space is zero in degree %d" % j)
+    solve = PrimeMatrix._trusted(red.a[:len(pivots), free], red.p)
     out = []
     while len(out) < count:
-        row = PrimeMatrix._trusted(stream.coefficients(basis.rows)[None, :], basis.p)
-        f = HomogPoly(c.ring, j, row.matmul(basis).a[0])
+        v = np.zeros(red.cols, dtype=np.int64)
+        v[free] = stream.coefficients(free.size)
+        v[pivots] = -solve.matmul(PrimeMatrix._trusted(v[free, None], red.p)).a[:, 0] % red.p
+        f = HomogPoly(c.ring, j, v)
         if not f.is_zero():
             out.append(f)
     return out

@@ -142,33 +142,33 @@ def eval_recipe(node, stream):
         if len(node.args) != 2 or isinstance(node.args[1], int):
             raise ParamError("link(ci(...), <recipe>) takes two arguments")
         first, second = node.args
-        ideal = eval_recipe(second, stream)
-        if not isinstance(ideal, GradedIdeal):
-            raise ParamError("the second argument of link must build an ideal")
+        refusal = "the %s argument of link must build an ideal"
+        ideal = _built(second, stream, GradedIdeal, refusal % "second")
         if isinstance(first, _Node) and first.name == "ci":
             cideal = ci_in(ideal, _int_args(first), stream)
         else:
-            cideal = eval_recipe(first, stream)
+            cideal = _built(first, stream, GradedIdeal, refusal % "first")
         return ideal_quotient(cideal, ideal)
     if node.name == "perp-pick":
-        if (len(node.args) != 3 or not isinstance(node.args[0], int)
-                or not isinstance(node.args[1], int)):
+        if len(node.args) != 3 or not all(isinstance(a, int) for a in node.args[:2]):
             raise ParamError("perp-pick(count, degree, <recipe>)")
         count, degree, sub = node.args
-        ideal = eval_recipe(sub, stream)
+        ideal = _built(sub, stream, GradedIdeal, "the recipe of perp-pick must build an ideal")
         return case_mod.perp_picks(ideal, degree, count, stream)
     if node.name == "ann":
-        forms = []
-        for a in node.args:
-            if isinstance(a, int):
-                raise ParamError("ann(...) takes perp-pick sub-recipes")
-            got = eval_recipe(a, stream)
-            if isinstance(got, list):
-                forms.extend(got)
-            else:
-                raise ParamError("ann(...) arguments must produce dual forms")
-        return annihilator_ideal(forms)
+        if any(isinstance(a, int) for a in node.args):
+            raise ParamError("ann(...) takes perp-pick sub-recipes")
+        return annihilator_ideal([f for a in node.args for f in _built(
+            a, stream, list, "ann(...) arguments must produce dual forms")])
     raise ParamError("unknown recipe function %r" % node.name)
+
+
+def _built(sub, stream, kind, refusal):
+    """eval_recipe of sub, refused with ParamError(refusal) unless it builds a `kind`."""
+    got = eval_recipe(sub, stream) if isinstance(sub, _Node) else None
+    if not isinstance(got, kind):
+        raise ParamError(refusal)
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,8 @@ def cmd_predict(args):
 
 def cmd_resolve(args):
     tree = parse_recipe(args.recipe)
-    ideal = eval_recipe(tree, FormStream(RingCtx(args.n, args.p), args.seed))
-    if not isinstance(ideal, GradedIdeal):
-        raise ParamError("the recipe must build an ideal")
+    ideal = _built(tree, FormStream(RingCtx(args.n, args.p), args.seed), GradedIdeal,
+                   "the recipe must build an ideal")
     hf = hilbert_function(ideal, args.cap)
     if not hf.exact:
         print("quotient is not finite within the degree window <= %d;"

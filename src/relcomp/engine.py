@@ -651,14 +651,14 @@ def annihilator_ideal(f_list):
 
 
 def perp_basis(c, j):
-    """Basis of the perpendicular of the degree j piece of an ideal,
-    inside the dual space of degree j forms, as the rows of a PrimeMatrix.
-
-    A dual form F is perpendicular to c_j exactly when every generator
-    of degree <= j contracts F to zero.
-    """
+    """The perpendicular of c_j in the dual space of degree j forms, as
+    the rref (red, pivots) of the contraction maps of the generators of
+    degree <= j: F is perpendicular exactly when each contracts F to 0.
+    So F[free] (free: the other columns) is arbitrary and F[pivots] =
+    -red[:len(pivots), free] . F[free]; coefficients put at free give
+    coefficients @ kernel_basis of the maps, entry for entry."""
     blocks = [contract_by_poly(g, j) for g in c.gens if g.degree <= j]
-    return kernel_basis(stack([PrimeMatrix.zeros(0, c.ring.dim(j), c.ring.p)] + blocks))
+    return rref(stack([PrimeMatrix.zeros(0, c.ring.dim(j), c.ring.p)] + blocks))
 
 
 MEETS_CONJECTURED_BOUND = "MEETS_CONJECTURED_BOUND"

@@ -8,6 +8,9 @@ no generator count of the model's sieve.
 
 sift_generators is the eager sieve that colon ideals once ran: the joint
 kernel of membership blocks (kernel_rows), sifted degree by degree.
+
+perp_picks_by_basis is the draw that perp_picks once made: each pick is a
+random combination of the rows of kernel_basis of the contraction maps.
 """
 
 from collections import Counter
@@ -16,9 +19,9 @@ import numpy as np
 
 from relcomp.betti import BettiTable
 from relcomp.engine import hilbert_function
-from relcomp.errors import InternalError, NotArtinianError
+from relcomp.errors import InternalError, NotArtinianError, ParamError
 from relcomp.gfp import PrimeMatrix, kernel_basis, rref, stack
-from relcomp.ring import HomogPoly
+from relcomp.ring import HomogPoly, contract_by_poly
 
 
 def betti_numbers_syzygy(ideal):
@@ -148,3 +151,20 @@ def kernel_rows(ring, d, blocks):
     none), as the rows of a PrimeMatrix, and dim R_d minus its dimension."""
     ker = kernel_basis(stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + blocks))
     return ker, ring.dim(d) - ker.rows
+
+
+def perp_picks_by_basis(c, j, count, stream):
+    """count nonzero random elements of the perpendicular of c_j, each the
+    product of stream.coefficients(dim) with the kernel basis of the
+    stacked contraction maps; zero draws are drawn again."""
+    blocks = [contract_by_poly(g, j) for g in c.gens if g.degree <= j]
+    basis = kernel_basis(stack([PrimeMatrix.zeros(0, c.ring.dim(j), c.ring.p)] + blocks))
+    if not basis.rows:
+        raise ParamError("the perpendicular space is zero in degree %d" % j)
+    out = []
+    while len(out) < count:
+        row = PrimeMatrix._trusted(stream.coefficients(basis.rows)[None, :], basis.p)
+        f = HomogPoly(c.ring, j, row.matmul(basis).a[0])
+        if not f.is_zero():
+            out.append(f)
+    return out

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import relcomp
-from relcomp import cli, engine
+from relcomp import cli, engine, gfp
 from relcomp.cli import eval_recipe, main, parse_recipe
 from relcomp.engine import GradedIdeal, QuotientBasis, hilbert_function
 from relcomp.errors import InternalError, ParamError
@@ -239,6 +239,18 @@ def test_resolve_refuses_link_by_non_artinian_ideal(capsys):
     assert "cap" not in err
 
 
+@pytest.mark.parametrize("recipe, refusal", [
+    ("link(perp-pick(1,2,ci(2)),general-forms(2,2,2))",
+     "the first argument of link must build an ideal"),
+    ("ann(perp-pick(1,3,perp-pick(1,2,ci(2))))",
+     "the recipe of perp-pick must build an ideal"),
+])
+def test_resolve_refuses_a_sub_recipe_of_the_wrong_kind(capsys, recipe, refusal):
+    # dual forms where an ideal is needed: refused, not an AttributeError
+    assert main(["resolve", recipe, "-n", "3"]) == 2
+    assert capsys.readouterr().err == "error: %s\n" % refusal
+
+
 @pytest.mark.parametrize("recipe, n, models", [
     ("ann(perp-pick(1,6,ci(2)))", "4", 1),
     ("link(ci(3,3,3), general-forms(3,3,3,3))", "3", 3),
@@ -262,13 +274,16 @@ def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, recipe, n,
 
 def test_compressed_gorenstein_resolve_sifts_nothing(monkeypatch, capsys):
     # the model is read off the catalecticants, and every rank d_2 comes from
-    # R's strand or the Gorenstein mirror, so the generators are never sifted
+    # R's strand or the Gorenstein mirror, so the generators are never sifted;
+    # perp_picks draws from an rref, so no step takes a kernel
     def refuse(*args, **kwargs):
         raise AssertionError("resolve built, sifted or took a kernel in the model")
 
     monkeypatch.setattr(QuotientBasis, "_build", refuse)
     monkeypatch.setattr(QuotientBasis, "sift", refuse)
     monkeypatch.setattr(engine, "_kernel", refuse)
+    monkeypatch.setattr(engine, "kernel_basis", refuse)
+    monkeypatch.setattr(gfp, "_kernel", refuse)
     assert main(["resolve", "ann(perp-pick(1,8,ci(9)))", "-n", "6", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["hf"] == [1, 6, 21, 56, 126, 56, 21, 6, 1]
 

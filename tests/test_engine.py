@@ -4,6 +4,7 @@ import copy
 import functools
 import itertools
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from relcomp import engine
 from relcomp.betti import BettiTable, FreeModule, ghost_classify, koszul_shape
+from relcomp.cases import perp_picks
 from relcomp.engine import (
     GradedIdeal,
     QuotientBasis,
@@ -37,7 +39,7 @@ from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref
 from relcomp.ring import FormStream, HomogPoly, RingCtx
 from relcomp.series import froberg_prediction, linkage_hf
 
-from oracles import betti_numbers_syzygy, kernel_rows, sift_generators
+from oracles import betti_numbers_syzygy, kernel_rows, perp_picks_by_basis, sift_generators
 
 
 def ring3(p=32003):
@@ -1027,8 +1029,6 @@ def test_annihilator_contains_seed_ideal():
     ring = ring3()
     stream = FormStream(ring, 9)
     cideal = general_forms((2, 3), stream)
-    from relcomp.cases import perp_picks
-
     f = perp_picks(cideal, 6, 1, stream)[0]
     ann = annihilator_ideal([f])
     from relcomp.engine import QuotientBasis
@@ -1039,14 +1039,68 @@ def test_annihilator_contains_seed_ideal():
 
 
 def test_perp_basis_dimensions():
+    def perp_dim(c, j):
+        red, pivots = perp_basis(c, j)
+        return red.cols - len(pivots)
+
     ring = ring3()
     stream = FormStream(ring, 1)
     cideal = general_forms((4, 4, 4), stream)
-    assert perp_basis(cideal, 8).rows == 3
+    assert perp_dim(cideal, 8) == 3
     full = variables_ideal(ring)
-    assert perp_basis(full, 1).rows == 0
+    assert perp_dim(full, 1) == 0
     empty = GradedIdeal(ring, [stream.form(9)])
-    assert perp_basis(empty, 2).rows == ring.dim(2)
+    assert perp_dim(empty, 2) == ring.dim(2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_perp_picks_match_the_basis_oracle(data):
+    # perp_picks solves for the pivots of perp_basis' rref; the oracle draws
+    # the same coefficients against kernel_basis: the forms, the refusal of a
+    # zero perpendicular and the stream's next draw agree
+    n = data.draw(st.integers(1, 5), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p")
+    degrees = data.draw(st.lists(st.integers(1, 4), max_size=n + 1), label="degrees")
+    j = data.draw(st.integers(0, 6), label="j")
+    if data.draw(st.booleans(), label="no generator of degree <= j"):
+        degrees = [j + d for d in degrees]
+    count = data.draw(st.integers(1, 3), label="count")
+    seed = data.draw(st.integers(1, 1000), label="seed")
+    ring = RingCtx(n, p)
+    c = GradedIdeal(ring, FormStream(ring, seed).forms(degrees))
+    mine, theirs = FormStream(ring, seed + 1), FormStream(ring, seed + 1)
+    try:
+        got = perp_picks(c, j, count, mine)
+    except ParamError as err:
+        with pytest.raises(ParamError, match="^%s$" % err):
+            perp_picks_by_basis(c, j, count, theirs)
+        return
+    assert got == perp_picks_by_basis(c, j, count, theirs)
+    assert np.array_equal(mine.coefficients(8), theirs.coefficients(8))
+
+
+def test_perp_picks_refuse_a_zero_perpendicular():
+    ring = ring3()
+    message = "the perpendicular space is zero in degree 2"
+    for draw in (perp_picks, perp_picks_by_basis):
+        with pytest.raises(ParamError, match=message):
+            draw(variables_ideal(ring), 2, 1, FormStream(ring, 1))
+
+
+def test_perp_picks_form_no_basis_of_the_degree():
+    # no generator has degree <= 8, so a kernel basis of the perpendicular
+    # would be the identity on R_8: 1287^2 entries, 13 MB
+    ring = RingCtx(6, 32003)
+    stream = FormStream(ring, 1)
+    c = general_forms([9] * 6, stream)
+    tracemalloc.start()
+    try:
+        perp_picks(c, 8, 1, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # --- compression verdicts --------------------------------------------------
