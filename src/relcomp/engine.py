@@ -142,12 +142,13 @@ class GradedIdeal:
 
 class _Annihilator(GradedIdeal):
     """Ann(F) (annihilator_ideal) or c : I = Ann(I o Phi) (ideal_quotient),
-    read off its membership blocks; R/I vanishes from degree top on, and
-    gens is its model's, sifted when read."""
+    read off its membership blocks; R/I vanishes from degree top on, its socle
+    lies in degrees socle_degrees (None: any), and gens are sifted when read."""
 
-    def __init__(self, ring, blocks, top, recipe):
+    def __init__(self, ring, blocks, top, recipe, socle_degrees):
         self.ring, self.recipe, self._top = ring, recipe, top
         self.quotient = QuotientBasis(ring, blocks=blocks)
+        self.quotient._socle_degrees = socle_degrees
 
     gens = property(lambda self: self.quotient.gens)
 
@@ -218,8 +219,9 @@ class QuotientBasis:
             self.gens_by_degree.setdefault(g.degree, []).append(g)
         self._blocks = blocks  # the model of R/I read off B(d), gens sifted when read
         self._gens = None if blocks else []  # the generators sift kept, in order
-        # _socle[d]: dim of the socle of A in degree d, read from A_d and A_{d+1}
-        self._socle = {}
+        # _socle[d]: dim soc(A)_d, read from A_d and A_{d+1}; _socle_degrees:
+        # the D of socle_dim, None but in a model of an inverse system
+        self._socle, self._socle_degrees = {}, None
         # degrees 0, ..., len(_std) - 1 are built: none yet of a read model
         self._std, self._table = [], []
         if not blocks:
@@ -267,11 +269,30 @@ class QuotientBasis:
         return PrimeMatrix._trusted(t.a[:, self.ring.sum_index(d, 1)[self._std[d], k]], t.p)
 
     def socle_dim(self, d):
-        """Dimension of the socle of A in degree d: the common kernel of
-        multiplication by every variable on A_d, computed once."""
+        """Dimension of the socle of A in degree d, computed once: the common
+        kernel of multiplication by every variable on A_d.  A model of an
+        inverse system knows a set D of degrees outside which it is 0, and
+        eliminates only below t = max D, where soc(A)_t = A_t.  Proof: A_d
+        pairs perfectly with W_d, W a graded module, x_k on A_d being the
+        transpose of x_k into W_d; so soc(A)_d is dual to (W / mW)_d, which is
+        0 unless W has a minimal generator there, and A_{t+1} = W_{t+1}^* = 0.
+
+        * R/Ann(F_1, ..., F_t), p > s = max deg F_i: D = {deg F_i}.  Each a!,
+          |a| <= s, is a unit mod p, so contraction pairs R_d and dual forms
+          of degree d perfectly, Ann(F)_d is the perpendicular of W_d,
+          W = R o <F_i>, and W / mW is spanned by the F_i (Iarrobino and
+          Kanev, LNM 1721, ch. 1).  Not for p <= s: at n = 2, p = 2,
+          Ann(y1^3 + y2^3) has the socle (1, 1).
+        * R/(c : I), B = R/c of socle degree e: D = {e - deg g : g a given
+          generator of I, deg g <= e}.  B_d x B_{e-d} -> B_e is perfect (B is
+          Gorenstein), so (c : I)_d / c_d = ann_B(IB)_d is the perpendicular
+          of W_d = (IB)_{e-d}, and W / mW is spanned by the given g (Bruns
+          and Herzog, Cohen-Macaulay Rings, 3.3)."""
         if d not in self._socle:
-            a = self.dim(d)
-            if a:
+            a, known = self.dim(d), self._socle_degrees
+            if known is not None and d not in known:
+                a = 0
+            elif a and (known is None or d < max(known)):
                 a -= rank(stack([self.mult(k, d) for k in range(self.ring.n)]))
             self._socle[d] = a
         return self._socle[d]
@@ -526,6 +547,7 @@ def betti_numbers(ideal):
                     "negative Betti number %d at (%d, %d)" % (b, i, j))
             if b:
                 beta[(i, j)] = b
+    del boundary_rank  # its cache's closure refers to it: free the model now
     return BettiTable(beta)
 
 
@@ -622,7 +644,8 @@ def ideal_quotient(c, ideal):
         return [PrimeMatrix._trusted(f[ring.sum_index(e - k - d, d)[qc._std[e - k - d]]], p)
                 for k, f in duals if d + k <= e]
 
-    return _Annihilator(ring, blocks, e + 1, ["quotient", c.recipe, ideal.recipe])
+    recipe = ["quotient", c.recipe, ideal.recipe]
+    return _Annihilator(ring, blocks, e + 1, recipe, {e - k for k, _ in duals})
 
 
 def annihilator_ideal(f_list):
@@ -637,8 +660,8 @@ def annihilator_ideal(f_list):
     reads degree d off them (QuotientBasis._read_dual).  The generators
     are sifted once, on first read, from the kernels of the blocks.  Small
     characteristic can degenerate the pairing (falling factorials vanish
-    mod p), which is allowed but worth remembering when interpreting
-    results.
+    mod p), which is allowed, but the socle is read off the degrees of the
+    forms only when p > s (QuotientBasis.socle_dim).
     """
     if not f_list:
         raise ParamError("need at least one dual form")
@@ -647,7 +670,8 @@ def annihilator_ideal(f_list):
         raise ParamError("mixed rings")
     s = max(f.degree for f in f_list)
     return _Annihilator(ring, lambda d: [contraction_map(f, d) for f in f_list if f.degree >= d],
-                        s + 1, ["ann", len(f_list), s])
+                        s + 1, ["ann", len(f_list), s],
+                        {f.degree for f in f_list} if ring.p > s else None)
 
 
 def perp_basis(c, j):
@@ -735,13 +759,10 @@ def general_forms(degrees, stream):
 def general_element(ideal, d, stream):
     """A random element of the ideal of degree d: a random-coefficient
     combination of the generators of degree <= d."""
-    ring = ideal.ring
-    f = ring.zero(d)
+    f = ideal.ring.zero(d)
     for g in ideal.gens:
-        if g.degree > d:
-            continue
-        r = stream.form(d - g.degree)
-        f = f + r * g
+        if g.degree <= d:
+            f = f + stream.form(d - g.degree) * g
     if f.is_zero():
         raise ParamError("random element of degree %d came out zero" % d)
     return f

@@ -40,14 +40,14 @@ __all__ = [
 
 
 def _monomials(n, d):
-    """All exponent tuples of length n with sum d, lex descending.  Stars and
-    bars: the cut points 0 <= c_1 <= ... <= c_{n-1} <= d, listed in lex
-    ascending order, have gaps (the exponents) in lex ascending order."""
+    """The exponent vectors of length n with sum d, lex descending, as rows.
+    Stars and bars: the cut points 0 <= c_1 <= ... <= c_{n-1} <= d, listed in
+    lex ascending order, have gaps (the exponents) in lex ascending order."""
     count = math.comb(d + n - 1, n - 1)
     cuts = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(d + 1), n - 1)), np.int64, count * (n - 1))
     cuts = np.pad(cuts.reshape(count, n - 1), ((0, 0), (1, 1)), constant_values=((0, 0), (0, d)))
-    return list(map(tuple, np.diff(cuts)[::-1].tolist()))
+    return np.ascontiguousarray(np.diff(cuts)[::-1])
 
 
 class RingCtx:
@@ -60,7 +60,6 @@ class RingCtx:
         check_modulus(p)
         self.n = n
         self.p = p
-        self._basis = {}
         self._expo = {}
         self._sum_index = {}
         self._weights = {}
@@ -73,36 +72,40 @@ class RingCtx:
         return math.comb(d + self.n - 1, self.n - 1)
 
     def basis(self, d):
-        if d not in self._basis:
-            self._basis[d] = _monomials(self.n, d) if d >= 0 else []
-        return self._basis[d]
+        return list(map(tuple, self.exponents(d).tolist()))
 
     def exponents(self, d):
-        """basis(d) as a (dim d) x n integer array."""
+        """The monomials of degree d as the rows of a (dim d) x n array."""
         if d not in self._expo:
-            self._expo[d] = np.array(self.basis(d), dtype=np.int64).reshape(-1, self.n)
+            self._expo[d] = _monomials(self.n, d) if d >= 0 else np.zeros((0, self.n), np.int64)
         return self._expo[d]
 
+    def _position(self, tail, shape, top):
+        """Position in the basis of its degree of each exponent vector a with
+        tail sums tail(i) = a_{i+1} + ... + a_n <= top: the sum over i = 1..n-1
+        of C(tail(i) + n - i - 1, n - i) (combinatorial number system)."""
+        out = np.zeros(shape, dtype=np.int64)
+        for i in range(1, self.n):
+            m = self.n - i
+            out += np.array([math.comb(r + m - 1, m) for r in range(top + 1)], np.int64)[tail(i)]
+        return out
+
     def rank(self, expo):
-        """Position of each exponent vector (last axis) in the basis of its
-        degree: with tail sums r_i = a_i + ... + a_n, the sum over i = 2..n
-        of C(r_i + n - i, n - i + 1) (combinatorial number system)."""
+        """Position of each exponent vector (last axis) in its basis."""
         expo = np.asarray(expo, dtype=np.int64)
         if expo.shape[-1] != self.n or (expo < 0).any():
             raise ParamError("exponent vectors need %d entries >= 0" % self.n)
         tails = np.cumsum(expo[..., ::-1], axis=-1)[..., ::-1]
-        out = np.zeros(expo.shape[:-1], dtype=np.int64)
-        top = int(tails.max(initial=0))
-        for m in range(self.n - 1, 0, -1):
-            binom = np.array([math.comb(r + m - 1, m) for r in range(top + 1)], dtype=np.int64)
-            out += binom[tails[..., self.n - m]]
-        return out
+        return self._position(lambda i: tails[..., i], expo.shape[:-1], int(tails.max(initial=0)))
 
     def sum_index(self, d, e):
         """sum_index(d, e)[i, j] is the position of basis(d)[i] + basis(e)[j]
-        in basis(d + e)."""
+        in basis(d + e): the tail sums of a sum are the sums of tail sums, so
+        each variable takes one gather at the factors' tails."""
         if (d, e) not in self._sum_index:
-            self._sum_index[d, e] = self.rank(self.exponents(d)[:, None] + self.exponents(e))
+            ta, tb = (np.cumsum(self.exponents(k)[:, ::-1], axis=1)[:, ::-1] for k in (d, e))
+            self._sum_index[d, e] = self._position(lambda i: ta[:, i, None] + tb[:, i],
+                                                   (len(ta), len(tb)), d + e)
         return self._sum_index[d, e]
 
     def weights(self, d, e):
@@ -219,9 +222,9 @@ class HomogPoly:
             raise DegreeError("operands live in different graded pieces")
 
     def terms(self):
-        basis = self.ring.basis(self.degree)
+        expo = self.ring.exponents(self.degree)
         for i in np.nonzero(self.coeffs)[0]:
-            yield basis[int(i)], int(self.coeffs[i])
+            yield tuple(expo[i].tolist()), int(self.coeffs[i])
 
     def text(self):
         parts = []

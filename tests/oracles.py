@@ -11,6 +11,9 @@ kernel of membership blocks (kernel_rows), sifted degree by degree.
 
 perp_picks_by_basis is the draw that perp_picks once made: each pick is a
 random combination of the rows of kernel_basis of the contraction maps.
+
+socle_dim_by_rank eliminates the socle in every degree, the reference for
+the degrees that QuotientBasis.socle_dim reads off the dual generators.
 """
 
 from collections import Counter
@@ -20,7 +23,7 @@ import numpy as np
 from relcomp.betti import BettiTable
 from relcomp.engine import hilbert_function
 from relcomp.errors import InternalError, NotArtinianError, ParamError
-from relcomp.gfp import PrimeMatrix, kernel_basis, rref, stack
+from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref, stack
 from relcomp.ring import HomogPoly, contract_by_poly
 
 
@@ -168,3 +171,10 @@ def perp_picks_by_basis(c, j, count, stream):
         if not f.is_zero():
             out.append(f)
     return out
+
+
+def socle_dim_by_rank(model, d):
+    """dim soc(A)_d by elimination: dim A_d minus the rank of the stacked
+    multiplications A_d -> A_{d+1} by the variables."""
+    mults = stack([model.mult(k, d) for k in range(model.ring.n)])
+    return model.dim(d) - rank(mults)

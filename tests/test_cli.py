@@ -275,10 +275,12 @@ def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, recipe, n,
 def test_compressed_gorenstein_resolve_sifts_nothing(monkeypatch, capsys):
     # the model is read off the catalecticants, and every rank d_2 comes from
     # R's strand or the Gorenstein mirror, so the generators are never sifted;
-    # perp_picks draws from an rref, so no step takes a kernel
+    # perp_picks draws from an rref, so no step takes a kernel; the socle is
+    # read off the form's degree, so no step takes a rank
     def refuse(*args, **kwargs):
-        raise AssertionError("resolve built, sifted or took a kernel in the model")
+        raise AssertionError("resolve built, sifted or took a kernel or rank in the model")
 
+    monkeypatch.setattr(engine, "rank", refuse)
     monkeypatch.setattr(QuotientBasis, "_build", refuse)
     monkeypatch.setattr(QuotientBasis, "sift", refuse)
     monkeypatch.setattr(engine, "_kernel", refuse)

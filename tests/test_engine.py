@@ -2,6 +2,7 @@
 
 import copy
 import functools
+import gc
 import itertools
 import sys
 import tracemalloc
@@ -39,7 +40,13 @@ from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref
 from relcomp.ring import FormStream, HomogPoly, RingCtx
 from relcomp.series import froberg_prediction, linkage_hf
 
-from oracles import betti_numbers_syzygy, kernel_rows, perp_picks_by_basis, sift_generators
+from oracles import (
+    betti_numbers_syzygy,
+    kernel_rows,
+    perp_picks_by_basis,
+    sift_generators,
+    socle_dim_by_rank,
+)
 
 
 def ring3(p=32003):
@@ -792,6 +799,62 @@ def test_socle_ranks_are_computed_once(monkeypatch):
     before = len(calls)
     assert socle(ideal) == socle(GradedIdeal(ring, ideal.gens))
     assert len(calls) == before + hilbert_function(ideal).top_degree() + 1
+
+
+def test_the_socle_rule_needs_p_above_the_form_degree():
+    # at p = 2 <= s = 3, x1^2 o y1^3 = 6 y1 = 0: every quadric kills the
+    # form, and the socle lies in degree 1, which is no form's degree
+    ring = RingCtx(2, 2)
+    ideal = annihilator_ideal([HomogPoly.parse(ring, "y1^3 + y2^3")])
+    assert hilbert_function(ideal).text() == "1 2"
+    assert socle(ideal).text() == "(1, 1)"
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_socle_rule_matches_the_rank_oracle(data):
+    # the socle degrees an inverse system reads off its dual generators
+    # against an elimination in every degree: links c : J at n 2-4 over four
+    # primes, and annihilators of forms of mixed degrees (random, monomial or
+    # zero) with p > s
+    if data.draw(st.booleans(), label="link"):
+        ring, c, linked = draw_link(data)
+        assume(ring.n >= 2)
+        ideal = ideal_quotient(c, linked)
+    else:
+        n = data.draw(st.integers(2, 4), label="n")
+        p = data.draw(st.sampled_from([3, 5, 7, 32003, 2147483647]), label="p")
+        ring = RingCtx(n, p)
+        stream = FormStream(ring, data.draw(st.integers(1, 1000), label="seed"))
+        degrees = data.draw(st.lists(st.integers(0, min(ORACLE_TOP[n], p - 1)),
+                                     min_size=1, max_size=4), label="degrees")
+        kinds = data.draw(st.lists(st.sampled_from(["form", "monomial", "zero"]),
+                                   min_size=len(degrees), max_size=len(degrees)),
+                          label="kinds")
+        forms = [stream.form(d) if kind == "form" else ring.zero(d) if kind == "zero"
+                 else ring.monomial(ring.exponents(d)[data.draw(
+                     st.integers(0, ring.dim(d) - 1), label="monomial")])
+                 for d, kind in zip(degrees, kinds)]
+        ideal = annihilator_ideal(forms)
+    model = ideal.quotient
+    for d in range(ideal.artinian_bound() + 1):
+        assert model.socle_dim(d) == socle_dim_by_rank(model, d), d
+
+
+def test_betti_numbers_leave_no_reference_cycle():
+    # the cached recursion of the boundary ranks must not keep the model,
+    # its ring and its tables alive until the cyclic collector runs
+    ring = RingCtx(3, 32003)
+    stream = FormStream(ring, 6)
+    c = general_forms((3, 3, 3), stream)
+    link = ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2])))
+    gc.collect()
+    gc.disable()
+    try:
+        betti_numbers(link)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_betti_numbers_of_three_variables_eliminate_nothing(monkeypatch):

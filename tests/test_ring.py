@@ -32,7 +32,7 @@ def test_monomials_match_the_recursive_enumeration():
     # stars and bars lists the tuples of the recursion, in the same order
     for n in range(1, 8):
         for d in range(13):
-            assert _monomials(n, d) == monomials_recursive(n, d)
+            assert list(map(tuple, _monomials(n, d).tolist())) == monomials_recursive(n, d)
 
 
 def test_dim_matches_binomial():
@@ -157,6 +157,17 @@ def test_primality_matches_trial_division():
         except ParamError:
             accepted = False
         assert accepted == prime(q), q
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 7), d=st.integers(-1, 6), e=st.integers(-1, 3))
+def test_sum_index_matches_the_rank_of_the_summed_exponents(n, d, e):
+    # sum_index gathers the factors' tail sums; the oracle ranks the summed
+    # exponent array
+    ring = RingCtx(n, 7)
+    want = ring.rank(ring.exponents(d)[:, None] + ring.exponents(e))
+    got = ring.sum_index(d, e)
+    assert got.shape == (ring.dim(d), ring.dim(e)) and np.array_equal(got, want)
 
 
 def test_rank_is_the_basis_position():
