@@ -19,7 +19,6 @@ from .series import (
 )
 from .betti import (
     FreeModule,
-    ResolutionShape,
     BettiTable,
     koszul_module,
     koszul_shape,

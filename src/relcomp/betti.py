@@ -1,7 +1,10 @@
 """
-Symbolic calculus of graded free modules, resolution shapes and Betti
-tables, together with closed-form builders for the minimal free
-resolutions of several families of Artinian algebras:
+Symbolic calculus of graded free modules and Betti tables, together with
+closed-form builders for the minimal free resolutions of several families
+of Artinian algebras.  One class holds every result: a BettiTable is the
+sparse map (i, j) -> beta_{i,j}, read column by column as the free modules
+F_i of a resolution shape, and the builders return the same class as the
+exact engine.  The builders cover:
 
 * compressed Gorenstein algebras of even socle degree (binomial formula);
 * Gorenstein algebras squeezed inside a complete intersection, all from
@@ -32,7 +35,6 @@ from .series import HilbertSeries, rational_series, rc_min_bound
 
 __all__ = [
     "FreeModule",
-    "ResolutionShape",
     "BettiTable",
     "GhostReport",
     "koszul_module",
@@ -140,60 +142,7 @@ def koszul_module(degrees, i):
 def koszul_shape(degrees):
     """The resolution shape of a complete intersection: all exterior powers."""
     degrees = list(degrees)
-    return ResolutionShape([koszul_module(degrees, i) for i in range(len(degrees) + 1)])
-
-
-class ResolutionShape:
-    """A list of free modules F_0, F_1, ..., F_len with F_0 = R."""
-
-    def __init__(self, modules):
-        self.modules = [m if isinstance(m, FreeModule) else FreeModule(m) for m in modules]
-        if not self.modules or self.modules[0] != FreeModule({0: 1}):
-            raise ParamError("a shape must start with R itself")
-
-    @property
-    def length(self):
-        return len(self.modules) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, ResolutionShape) and self.modules == other.modules
-
-    def max_twist(self):
-        return max((max(m.twists) for m in self.modules if not m.is_zero()), default=0)
-
-    def euler_coeffs(self):
-        """Coefficients of sum_i (-1)^i sum_t mult * z^t."""
-        top = self.max_twist()
-        out = [0] * (top + 1)
-        for i, m in enumerate(self.modules):
-            s = 1 if i % 2 == 0 else -1
-            for t, mult in m.twists.items():
-                out[t] += s * mult
-        return out
-
-    def check_euler(self, hf, n):
-        """True iff the alternating twist sum equals (1 - z)^n times hf."""
-        return self.euler_coeffs() == _hf_shifted(hf, n, self.max_twist())
-
-    def betti_table(self):
-        beta = {}
-        for i, m in enumerate(self.modules):
-            for t, mult in m.twists.items():
-                beta[(i, t)] = beta.get((i, t), 0) + mult
-        return BettiTable(beta)
-
-    def is_self_dual(self, e):
-        return all(
-            self.modules[i] == self.modules[self.length - i].dual_twist(e)
-            for i in range(self.length + 1)
-        )
-
-    def text(self):
-        parts = [m.text() for m in reversed(self.modules)]
-        return "0 -> " + " -> ".join(parts)
-
-    def __repr__(self):
-        return "ResolutionShape(%s)" % self.text()
+    return BettiTable.from_modules([koszul_module(degrees, i) for i in range(len(degrees) + 1)])
 
 
 def _hf_shifted(hf, n, top):
@@ -210,17 +159,31 @@ def _hf_shifted(hf, n, top):
 
 
 class BettiTable:
-    """Graded Betti numbers beta_{i,j} as a sparse map (i, j) -> count."""
+    """Graded Betti numbers beta_{i,j} as a sparse map (i, j) -> count.
+
+    Column i is the free module F_i of the resolution it describes, so a
+    closed-form shape and an engine result are the same kind of table.
+    A zero entry is never stored; so a table has no trailing zero columns,
+    and two tables are equal exactly when their maps are.
+    """
 
     def __init__(self, beta):
         self.beta = {k: int(v) for k, v in dict(beta).items() if v}
+
+    @classmethod
+    def from_modules(cls, modules):
+        """The table of F_0, F_1, ... given as FreeModules or {twist: mult}
+        dicts, where F_0 must be R itself."""
+        modules = [m if isinstance(m, FreeModule) else FreeModule(m) for m in modules]
+        if not modules or modules[0] != FreeModule({0: 1}):
+            raise ParamError("a shape must start with R itself")
+        return cls({(i, t): mult for i, m in enumerate(modules)
+                    for t, mult in m.twists.items()})
 
     def __getitem__(self, key):
         return self.beta.get(tuple(key), 0)
 
     def __eq__(self, other):
-        if isinstance(other, ResolutionShape):
-            other = other.betti_table()
         return isinstance(other, BettiTable) and self.beta == other.beta
 
     def max_index(self):
@@ -229,6 +192,9 @@ class BettiTable:
     def max_row(self):
         return max((j - i for i, j in self.beta), default=0)
 
+    def max_twist(self):
+        return max((j for _, j in self.beta), default=0)
+
     def totals(self):
         out = [0] * (self.max_index() + 1)
         for (i, _), m in self.beta.items():
@@ -236,11 +202,35 @@ class BettiTable:
         return out
 
     def column(self, i):
-        """The i-th free module of the shape the table describes."""
+        """The free module F_i."""
         return FreeModule({j: m for (k, j), m in self.beta.items() if k == i})
 
-    def to_shape(self):
-        return ResolutionShape([self.column(i) for i in range(self.max_index() + 1)])
+    @property
+    def modules(self):
+        """The free modules F_0, ..., F_{max_index()}."""
+        return [self.column(i) for i in range(self.max_index() + 1)]
+
+    def betti_table(self):
+        """The table itself.  Kept only for the benchmark's gorenstein
+        invariant (perfbench/workloads.py), which calls
+        compressed_gor_even(6, 4).betti_table()."""
+        return self
+
+    def euler_coeffs(self):
+        """Coefficients of sum_i (-1)^i sum_j beta_{i,j} z^j."""
+        out = [0] * (self.max_twist() + 1)
+        for (i, j), m in self.beta.items():
+            out[j] += (-1) ** i * m
+        return out
+
+    def check_euler(self, hf, n):
+        """True iff the alternating twist sum equals (1 - z)^n times hf."""
+        return self.euler_coeffs() == _hf_shifted(hf, n, self.max_twist())
+
+    def is_self_dual(self, e):
+        """True iff F_{L-i} is the dual of F_i twisted by e, L = max_index()."""
+        top = self.max_index()
+        return self.beta == {(top - i, e - j): m for (i, j), m in self.beta.items()}
 
     def generator_degrees(self):
         """Degrees of the module generators, with multiplicity, from column 1."""
@@ -249,6 +239,10 @@ class BettiTable:
             if i == 1:
                 out.extend([j] * m)
         return out
+
+    def text(self):
+        """The shape 0 -> F_L -> ... -> F_0, L = max_index()."""
+        return "0 -> " + " -> ".join(m.text() for m in reversed(self.modules))
 
     def render(self):
         """Classic diagram: `total:` header, rows indexed by j - i, `-` for 0."""
@@ -297,7 +291,7 @@ def compressed_gor_even(n, t):
         ) * math.comb(t - 1 + n, i - 1)
         mods.append(FreeModule({t + i: a}))
     mods.append(FreeModule({2 * t + n: 1}))
-    return ResolutionShape(mods)
+    return BettiTable.from_modules(mods)
 
 
 def _gorenstein_shape(n, s, degrees, truncate=True, ys=None):
@@ -334,7 +328,7 @@ def _gorenstein_shape(n, s, degrees, truncate=True, ys=None):
                 extra = extra + extra.dual_twist(e)
             mods.append(low + high.dual_twist(e) + extra)
         mods.extend(mods[n - i].dual_twist(e) for i in range(p + 1, n + 1))
-        return ResolutionShape(mods)
+        return BettiTable.from_modules(mods)
 
     target = _hf_shifted(rc_min_bound(degrees, n, s, 1), n, e)
     known = build([0] * (p + 1)).euler_coeffs()
@@ -440,17 +434,13 @@ def quadric_points_resolution(N):
 
     N = i*i + h with 0 < h <= 2i + 1; the h-vector is 1, 3, ..., 2i-1, h
     and the multiplicities are read off the fourth differences of the
-    Hilbert function of the points.
+    Hilbert function of the points.  Valid for N >= 5: for fewer points
+    the quadric is not an extra minimal generator of their ideal.
     """
-    if N < 1:
-        raise ParamError("need at least one point")
+    if N < 5:
+        raise ParamError("need at least 5 points")
     i = math.isqrt(N - 1)
     h = N - i * i
-    if i == 0:
-        # one point in the plane spanned by the quadric: codim 3 ideal
-        shape = ResolutionShape([FreeModule({0: 1}), FreeModule({1: 2, 2: 1}),
-                                 FreeModule({2: 1, 3: 2}), FreeModule({4: 1})])
-        return HilbertSeries([h]), shape
     hvec = [2 * k + 1 for k in range(i)] + [h]
 
     def delta(seq):
@@ -464,7 +454,7 @@ def quadric_points_resolution(N):
     f1 = FreeModule({2: 1}).add(i, 2 * i + 1 - h).add(i + 1, max(0, -di1))
     f2 = FreeModule({i + 1: max(0, di1), i + 2: max(0, di2)})
     f3 = FreeModule({i + 2: max(0, -di2), i + 3: h})
-    shape = ResolutionShape([FreeModule({0: 1}), f1, f2, f3])
+    shape = BettiTable.from_modules([FreeModule({0: 1}), f1, f2, f3])
     return HilbertSeries(hvec), shape
 
 
@@ -474,13 +464,13 @@ def rc_gor_odd_quadric(t):
     if t < 2:
         raise ParamError("need t >= 2")
     a = 2 * t + 3
-    return ResolutionShape(
+    return BettiTable.from_modules(
         [
-            FreeModule({0: 1}),
-            FreeModule({t + 1: a, 2: 1}),
-            FreeModule({t + 2: a, t + 3: a}),
-            FreeModule({t + 4: a, 2 * t + 3: 1}),
-            FreeModule({2 * t + 5: 1}),
+            {0: 1},
+            {t + 1: a, 2: 1},
+            {t + 2: a, t + 3: a},
+            {t + 4: a, 2 * t + 3: 1},
+            {2 * t + 5: 1},
         ]
     )
 
@@ -518,15 +508,13 @@ def mapping_cone_link(ci_degrees, res_i, target_hf=None):
     guard rather than used to steer.
     """
     n, d = len(ci_degrees), sum(ci_degrees)
-    res_ci = koszul_shape(ci_degrees)
-    if res_i.length > n:
+    if res_i.max_index() > n:
         raise ParamError("linked shape is longer than the Koszul shape")
-    fmods = list(res_i.modules) + [FreeModule()] * (n + 1 - len(res_i.modules))
     kparts = {}
     fparts = {}
     for i in range(1, n + 1):
-        kparts[i] = res_ci.modules[n - i].dual_twist(d) if i < n else FreeModule()
-        fparts[i] = fmods[n - i + 1].dual_twist(d)
+        kparts[i] = koszul_module(ci_degrees, n - i).dual_twist(d) if i < n else FreeModule()
+        fparts[i] = res_i.column(n - i + 1).dual_twist(d)
     for j in range(1, n):
         # dualized K_j sits in position n-j, dualized F_j one step higher
         lo, hi = kparts[n - j], fparts[n - j + 1]
@@ -539,9 +527,7 @@ def mapping_cone_link(ci_degrees, res_i, target_hf=None):
     mods = [FreeModule({0: 1})]
     for i in range(1, n + 1):
         mods.append(kparts[i] + fparts[i])
-    while len(mods) > 1 and mods[-1].is_zero():
-        mods.pop()
-    shape = ResolutionShape(mods)
+    shape = BettiTable.from_modules(mods)
     if target_hf is not None and not shape.check_euler(target_hf, n):
         raise SplitError("cone shape is inconsistent with the requested Hilbert function")
     return shape
@@ -610,9 +596,6 @@ class GhostEntry:
 @dataclass
 class GhostReport:
     entries: list
-
-    def classes(self):
-        return Counter(e.cls for e in self.entries)
 
     def find(self, i, j):
         for e in self.entries:

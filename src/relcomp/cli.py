@@ -223,9 +223,8 @@ def cmd_predict(args):
         shape, _ = aci_resolution(args.n, args.degrees)
     else:
         shape = mrc_resolution(args.n, args.ci, args.t)
-    table = shape.betti_table()
-    _emit(args, dict(extra, shape=shape.text(), betti=table.to_json()["betti"]),
-          head + [shape.text(), "", table.render()])
+    _emit(args, dict(extra, shape=shape.text(), betti=shape.to_json()["betti"]),
+          head + [shape.text(), "", shape.render()])
     return 0
 
 

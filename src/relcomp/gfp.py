@@ -33,15 +33,13 @@ then the pivot columns and the inverse of the pivot block (on [A_J | I]);
 the other rows are cleared by Q -= Y @ P.  Reduced row echelon forms and
 pivot columns depend only on the row space, so both paths return the same
 rref, pivots, ranks and kernels.  _working_copy picks the panel path when
-p passes the float bound below, the matrix has at least
-_BLOCK_MIN_ENTRIES entries and more than _PANEL rows and columns, and at
-least a _BLOCK_MIN_DENSITY fraction of its entries are nonzero.  The path
-is chosen per input, not per workload, for two measured reasons.  The loop
-skips every row whose multiplier is zero, so it beats the dense products
-on sparse, monomial-like matrices.  And a multithreaded BLAS keeps its
-worker threads spinning for a while after each call: routed through the
-products, every small matrix costs CPU time that its faster elimination
-does not win back.  Nothing here sets a thread count.
+p passes the float bound below and the matrix has at least
+_BLOCK_MIN_ENTRIES entries and more than _PANEL rows and columns.  The
+path is chosen per input, not per workload, for a measured reason: a
+multithreaded BLAS keeps its worker threads spinning for a while after
+each call, so routed through the products, every small matrix costs CPU
+time that its faster elimination does not win back.  Nothing here sets a
+thread count.
 
 Exactness of the float64 path.  Each product is a sum of at most _PANEL
 terms below (p-1)**2.  Entries right of the current panel are left
@@ -98,7 +96,6 @@ def check_modulus(p):
 # `resolve`, not derived
 _PANEL = 32
 _BLOCK_MIN_ENTRIES = 100_000
-_BLOCK_MIN_DENSITY = 0.01
 _UPDATE_CHUNK = 2**19  # entries of one trailing-update product
 
 
@@ -183,8 +180,7 @@ def _working_copy(a, p):
     (the pivot loop) otherwise."""
     rows, cols = a.shape
     if (rows * cols >= _BLOCK_MIN_ENTRIES and min(rows, cols) > _PANEL
-            and _float_ok(p)
-            and np.count_nonzero(a) >= _BLOCK_MIN_DENSITY * a.size):
+            and _float_ok(p)):
         return a.astype(np.float64)
     return a.copy()
 

@@ -161,7 +161,7 @@ def test_property_euler_identity():
         ideal = _random_artinian(rng)
         table = betti_numbers(ideal)
         hf = hilbert_function(ideal)
-        assert table.to_shape().check_euler(list(hf), 3)
+        assert table.check_euler(list(hf), 3)
 
 
 def test_property_gorenstein_self_duality():

@@ -11,7 +11,6 @@ from relcomp.errors import InfeasibleError, ParamError, ParityError, SplitError
 from relcomp.betti import (
     BettiTable,
     FreeModule,
-    ResolutionShape,
     _hf_shifted,
     aci_resolution,
     compressed_gor_even,
@@ -29,7 +28,7 @@ from relcomp.series import rational_series, rc_min_bound
 
 
 def shape(*mods):
-    return ResolutionShape([FreeModule({0: 1})] + [FreeModule(m) for m in mods])
+    return BettiTable.from_modules([FreeModule({0: 1})] + [FreeModule(m) for m in mods])
 
 
 # --- free modules and Koszul pieces ---------------------------------------
@@ -86,7 +85,7 @@ def test_koszul_shape_euler_matches_ci_series():
 def test_table_round_trip_and_shape():
     t = BettiTable({(0, 0): 1, (1, 3): 2, (2, 6): 1})
     assert BettiTable.from_json(t.to_json()) == t
-    assert t.to_shape().betti_table() == t
+    assert BettiTable.from_modules(t.modules) == t
     assert t.totals() == [1, 2, 1]
     assert t.generator_degrees() == [3, 3]
 
@@ -191,13 +190,13 @@ def oracle_rc_gor_even(n, t, ci_degrees=()):
         mods.append(m)
     mods.append(FreeModule({e: 1}))
     target = _hf_shifted(hf, n, e)
-    known = ResolutionShape(mods).euler_coeffs()
+    known = BettiTable.from_modules(mods).euler_coeffs()
     for i in range(1, n):
         a = (-1) ** i * (target[t + i] - known[t + i])
         if a < 0:
             raise InfeasibleError("negative multiplicity at column %d" % i)
         mods[i].add(t + i, a)
-    sh = ResolutionShape(mods)
+    sh = BettiTable.from_modules(mods)
     if sh.euler_coeffs() != target:
         raise InfeasibleError("Euler identity cannot be satisfied")
     if not sh.is_self_dual(e):
@@ -228,7 +227,7 @@ def _oracle_odd_build(n, t, degrees, alphas, ys):
         mods[i] = m
     for i in range(p + 1, n):
         mods[i] = mods[n - i].dual_twist(e)
-    return ResolutionShape(mods)
+    return BettiTable.from_modules(mods)
 
 
 def oracle_rc_gor_odd(n, t, ci_degrees=()):
@@ -284,7 +283,7 @@ def oracle_mrc_resolution(n, ci_degrees, t):
     probe = list(mods)
     for i in range(p + 1, n):
         probe[i] = probe[n - i].dual_twist(e)
-    known = ResolutionShape(probe).euler_coeffs()
+    known = BettiTable.from_modules(probe).euler_coeffs()
     known += [0] * (e + 1 - len(known))
     alphas = {}
     for i in range(1, p + 1):
@@ -300,7 +299,7 @@ def oracle_mrc_resolution(n, ci_degrees, t):
             mods[i].add(t + i, alphas[i])
     for i in range(p + 1, n):
         mods[i] = mods[n - i].dual_twist(e)
-    sh = ResolutionShape(mods)
+    sh = BettiTable.from_modules(mods)
     if sh.euler_coeffs() != target:
         raise InfeasibleError("Euler identity cannot be satisfied by this layout")
     return sh
@@ -381,6 +380,18 @@ def test_quadric_points_shapes():
     assert sh == shape({2: 1, 5: 7}, {6: 8, 7: 3}, {8: 4})
 
 
+def test_quadric_points_refuses_fewer_than_five_and_passes_euler():
+    # for up to 4 general points the quadric is not an extra minimal
+    # generator of their ideal, and the formula's shapes fail Euler
+    for N in range(1, 5):
+        with pytest.raises(ParamError):
+            quadric_points_resolution(N)
+    for N in range(5, 401):
+        hf, sh = quadric_points_resolution(N)
+        assert sum(hf.coeffs) == N
+        assert sh.check_euler(hf, 3)
+
+
 def test_rc_gor_odd_quadric_display_and_euler():
     sh = rc_gor_odd_quadric(4)
     assert sh == shape({2: 1, 5: 11}, {6: 11, 7: 11}, {8: 11, 11: 1}, {13: 1})
@@ -438,10 +449,10 @@ def oracle_mapping_cone_link(res_ci, res_i, d=None, split="min-consistent",
     if isinstance(res_ci, (list, tuple)):
         res_ci = koszul_shape(res_ci)
     if n is None:
-        n = res_ci.length
+        n = res_ci.max_index()
     if d is None:
         d = max(res_ci.modules[n].twists)
-    if res_i.length > n:
+    if res_i.max_index() > n:
         raise ParamError("linked shape is longer than the Koszul shape")
     fmods = list(res_i.modules) + [FreeModule()] * (n + 1 - len(res_i.modules))
     kparts = {}
@@ -469,7 +480,7 @@ def oracle_mapping_cone_link(res_ci, res_i, d=None, split="min-consistent",
         mods.append(kparts[i] + fparts[i])
     while len(mods) > 1 and mods[-1].is_zero():
         mods.pop()
-    shape = ResolutionShape(mods)
+    shape = BettiTable.from_modules(mods)
     if target_hf is not None and not shape.check_euler(target_hf, n):
         raise SplitError("cone shape is inconsistent with the requested Hilbert function")
     return shape
@@ -490,7 +501,7 @@ def cone_inputs(draw):
     # twists below the degree sum, so that every dual twist stays >= 0
     twists = st.dictionaries(st.integers(1, max(sum(ci) - 1, 1)), st.integers(1, 4),
                              max_size=3)
-    res_i = ResolutionShape([FreeModule({0: 1})] + [
+    res_i = BettiTable.from_modules([FreeModule({0: 1})] + [
         FreeModule(draw(twists))
         for _ in range(draw(st.integers(0, len(ci) + 1)))])
     target = draw(st.sampled_from(["none", "consistent", "random"]))
@@ -509,7 +520,7 @@ def _cone_outcome(build):
 def test_mapping_cone_matches_reference(args):
     ci, res_i, target, noise = args
     hf = None if target == "none" else noise
-    if target == "consistent" and res_i.length <= len(ci):
+    if target == "consistent" and res_i.max_index() <= len(ci):
         hf = _hf_of(oracle_mapping_cone_link(ci, res_i), len(ci))
     want = _cone_outcome(lambda: oracle_mapping_cone_link(
         koszul_shape(ci), res_i, sum(ci), split="min-consistent",

@@ -142,6 +142,141 @@ def test_predict_gor_odd_formats(capsys):
     assert json.loads(capsys.readouterr().out) == {"shape": lines}
 
 
+# Full stdout of every predict kind, in text and in JSON.  A text pin is
+# the literal output; a JSON pin is the document, printed with indent=2
+# and sorted keys.
+PREDICT_PINS = {
+    "gor-even": (["-n", "4", "-t", "5", "--ci", "3,3,4"],
+         """\
+0 -> R(-14) -> R(-8)^9 + R(-10) + R(-11)^2 -> R(-6) + R(-7)^20 + R(-8) -> R(-3)^2 + R(-4) + R(-6)^9 -> R
+
+total:      1    12    22    12     1
+--------------------------------------
+      0:      1     -     -     -     -
+      1:      -     -     -     -     -
+      2:      -     2     -     -     -
+      3:      -     1     -     -     -
+      4:      -     -     1     -     -
+      5:      -     9    20     9     -
+      6:      -     -     1     -     -
+      7:      -     -     -     1     -
+      8:      -     -     -     2     -
+      9:      -     -     -     -     -
+     10:      -     -     -     -     1
+""",
+         {"betti": [[0, 0, 1], [1, 3, 2], [1, 4, 1], [1, 6, 9], [2, 6, 1], [2, 7, 20],
+                    [2, 8, 1], [3, 8, 9], [3, 10, 1], [3, 11, 2], [4, 14, 1]],
+          "shape": "0 -> R(-14) -> R(-8)^9 + R(-10) + R(-11)^2 -> R(-6) + R(-7)^20 + "
+                   "R(-8) -> R(-3)^2 + R(-4) + R(-6)^9 -> R"}),
+    "gor-odd": (["-n", "4", "-t", "7", "--ci", "4,4,4"],
+         """\
+F_4 = R(-19)
+F_3 = R(-10)^[y2] + R(-11)^[3] + R(-15)^[3]
+F_2 = R(-8)^[3] + R(-9)^[2+y2] + R(-10)^[2+y2] + R(-11)^[3]
+F_1 = R(-4)^[3] + R(-8)^[3] + R(-9)^[y2]
+F_0 = R
+""",
+         {"shape": ["F_4 = R(-19)", "F_3 = R(-10)^[y2] + R(-11)^[3] + R(-15)^[3]",
+                    "F_2 = R(-8)^[3] + R(-9)^[2+y2] + R(-10)^[2+y2] + R(-11)^[3]",
+                    "F_1 = R(-4)^[3] + R(-8)^[3] + R(-9)^[y2]", "F_0 = R"]}),
+    "mrc": (["-n", "4", "-t", "2", "--ci", "2"],
+         """\
+0 -> R(-9) -> R(-6)^7 + R(-7) -> R(-4)^7 + R(-5)^7 -> R(-2) + R(-3)^7 -> R
+
+total:      1     8    14     8     1
+--------------------------------------
+      0:      1     -     -     -     -
+      1:      -     1     -     -     -
+      2:      -     7     7     -     -
+      3:      -     -     7     7     -
+      4:      -     -     -     1     -
+      5:      -     -     -     -     1
+""",
+         {"betti": [[0, 0, 1], [1, 2, 1], [1, 3, 7], [2, 4, 7], [2, 5, 7], [3, 6, 7],
+                    [3, 7, 1], [4, 9, 1]],
+          "shape": "0 -> R(-9) -> R(-6)^7 + R(-7) -> R(-4)^7 + R(-5)^7 -> R(-2) + "
+                   "R(-3)^7 -> R"}),
+    "quadric-points": (["-N", "30"],
+         """\
+h-vector: 1 3 5 7 9 5
+0 -> R(-8)^5 -> R(-6)^5 + R(-7)^6 -> R(-2) + R(-5)^6 -> R
+
+total:      1     7    11     5
+--------------------------------
+      0:      1     -     -     -
+      1:      -     1     -     -
+      2:      -     -     -     -
+      3:      -     -     -     -
+      4:      -     6     5     -
+      5:      -     -     6     5
+""",
+         {"betti": [[0, 0, 1], [1, 2, 1], [1, 5, 6], [2, 6, 5], [2, 7, 6], [3, 8, 5]],
+          "hvec": [1, 3, 5, 7, 9, 5],
+          "shape": "0 -> R(-8)^5 -> R(-6)^5 + R(-7)^6 -> R(-2) + R(-5)^6 -> R"}),
+    "quadric-gor": (["-t", "4"],
+         """\
+0 -> R(-13) -> R(-8)^11 + R(-11) -> R(-6)^11 + R(-7)^11 -> R(-2) + R(-5)^11 -> R
+
+total:      1    12    22    12     1
+--------------------------------------
+      0:      1     -     -     -     -
+      1:      -     1     -     -     -
+      2:      -     -     -     -     -
+      3:      -     -     -     -     -
+      4:      -    11    11     -     -
+      5:      -     -    11    11     -
+      6:      -     -     -     -     -
+      7:      -     -     -     -     -
+      8:      -     -     -     1     -
+      9:      -     -     -     -     1
+""",
+         {"betti": [[0, 0, 1], [1, 2, 1], [1, 5, 11], [2, 6, 11], [2, 7, 11], [3, 8, 11],
+                    [3, 11, 1], [4, 13, 1]],
+          "shape": "0 -> R(-13) -> R(-8)^11 + R(-11) -> R(-6)^11 + R(-7)^11 -> R(-2) + "
+                   "R(-5)^11 -> R"}),
+    "aci": (["-n", "5", "-d", "2,4,4,4,5,6"],
+         """\
+0 -> R(-14)^45 -> R(-13)^146 -> R(-10)^3 + R(-11)^3 + R(-12)^150 -> R(-6)^3 + R(-7) + R(-8)^4 + R(-9)^3 + R(-10)^3 + R(-11)^46 -> R(-2) + R(-4)^3 + R(-5) + R(-6) -> R
+
+total:      1     6    60   156   146    45
+--------------------------------------------
+      0:      1     -     -     -     -     -
+      1:      -     1     -     -     -     -
+      2:      -     -     -     -     -     -
+      3:      -     3     -     -     -     -
+      4:      -     1     3     -     -     -
+      5:      -     1     1     -     -     -
+      6:      -     -     4     -     -     -
+      7:      -     -     3     3     -     -
+      8:      -     -     3     3     -     -
+      9:      -     -    46   150   146    45
+""",
+         {"betti": [[0, 0, 1], [1, 2, 1], [1, 4, 3], [1, 5, 1], [1, 6, 1], [2, 6, 3],
+                    [2, 7, 1], [2, 8, 4], [2, 9, 3], [2, 10, 3], [2, 11, 46], [3, 10, 3],
+                    [3, 11, 3], [3, 12, 150], [4, 13, 146], [5, 14, 45]],
+          "shape": "0 -> R(-14)^45 -> R(-13)^146 -> R(-10)^3 + R(-11)^3 + R(-12)^150 -> "
+                   "R(-6)^3 + R(-7) + R(-8)^4 + R(-9)^3 + R(-10)^3 + R(-11)^46 -> R(-2) "
+                   "+ R(-4)^3 + R(-5) + R(-6) -> R"}),
+}
+
+
+@pytest.mark.parametrize("kind", PREDICT_PINS)
+def test_predict_output_is_pinned(capsys, kind):
+    argv, text, doc = PREDICT_PINS[kind]
+    assert main(["predict", kind] + argv) == 0
+    assert capsys.readouterr().out == text
+    assert main(["predict", kind] + argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_predict_quadric_points_refuses_fewer_than_five(capsys, N):
+    assert main(["predict", "quadric-points", "-N", str(N)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least 5 points\n"
+
+
 def test_resolve_refuses_composite_modulus(capsys):
     assert main(["resolve", "general-forms(2,2,2)", "-n", "3", "-p", "4"]) == 2
     captured = capsys.readouterr()

@@ -661,14 +661,22 @@ def test_double_link_is_involutive():
 def test_betti_of_complete_intersection_is_koszul():
     ring = ring3()
     ci = general_forms((3, 3, 3), FormStream(ring, 1))
-    assert betti_numbers(ci) == koszul_shape([3, 3, 3]).betti_table()
+    assert betti_numbers(ci) == koszul_shape([3, 3, 3])
+
+
+def test_builder_and_engine_tables_compare_both_ways():
+    computed = betti_numbers(general_forms((3, 3, 3), FormStream(ring3(), 1)))
+    built = koszul_shape([3, 3, 3])
+    assert built == computed and computed == built
+    other = koszul_shape([3, 3, 4])
+    assert other != computed and computed != other
 
 
 def test_betti_euler_identity():
     ring = ring3()
     ideal = general_forms((2, 2, 3), FormStream(ring, 7))
     table = betti_numbers(ideal)
-    assert table.to_shape().check_euler(list(hilbert_function(ideal)), 3)
+    assert table.check_euler(list(hilbert_function(ideal)), 3)
 
 
 def test_negative_betti_number_is_refused(monkeypatch):

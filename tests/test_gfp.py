@@ -352,9 +352,11 @@ def test_large_dense_matrices_take_the_panel_path(monkeypatch):
     assert rank(dense) == len(want_pivots) == 60
     assert kernel_basis(dense).rows == 300 - 60
     assert calls == [(400, 300)] * 3
-    # sparse, small or too large a modulus: the pivot loop
+    # sparse: the panel path as well, since only the size picks it
     sparse = PrimeMatrix(dense.a * (rng.random((400, 300)) < 0.005), p)
-    rank(sparse)
+    assert rank(sparse) == oracle_rank(sparse.a, p)
+    assert len(calls) == 4
+    # small or too large a modulus: the pivot loop
     rank(PrimeMatrix(dense.a[:200, :200], p))
     rank(PrimeMatrix(dense.a, 2147483647))
-    assert len(calls) == 3
+    assert len(calls) == 4
