@@ -169,6 +169,8 @@ class BettiTable:
 
     def __init__(self, beta):
         self.beta = {k: int(v) for k, v in dict(beta).items() if v}
+        if any(j < 0 or m < 0 for (_, j), m in self.beta.items()):
+            raise ParamError("a Betti table has no negative twist or multiplicity")
 
     @classmethod
     def from_modules(cls, modules):

@@ -21,10 +21,10 @@ generators: each enters the model through QuotientBasis.sift, which
 records the ones it keeps (QuotientBasis.gens), a minimal generating set;
 minimal_generators reads them off the ideal's own model.  The read, for an
 ideal given by membership blocks whose joint kernel in R_d is I_d: the
-catalecticants of F for R/Ann(F) (annihilator_ideal), and the gathers of
-the dual socle generator of R/c for a link c : I (ideal_quotient).  It
-reads each degree off one rref of the blocks, and sifts the generators
-into a fresh model only when something reads them.
+catalecticants of its dual forms, F for R/Ann(F) (annihilator_ideal) and
+I o Phi for a link c : I, Phi the dual socle generator of R/c
+(ideal_quotient).  It reads each degree off one rref of the blocks, and
+sifts the generators into a fresh model only when something reads them.
 
 On top of that sit Hilbert functions, graded Betti numbers via the
 homology of the Koszul complex tensored with A, minimal generator
@@ -141,14 +141,24 @@ class GradedIdeal:
 
 
 class _Annihilator(GradedIdeal):
-    """Ann(F) (annihilator_ideal) or c : I = Ann(I o Phi) (ideal_quotient),
-    read off its membership blocks; R/I vanishes from degree top on, its socle
-    lies in degrees socle_degrees (None: any), and gens are sifted when read."""
+    """Ann(F_1, ..., F_t) of nonzero dual forms, read off their
+    catalecticants B(d), the contraction maps of the forms of degree >= d
+    with the rows of F cut to rows[deg F - d] when rows is given.  R/I
+    vanishes from degree max deg F_i + 1 on (0: the unit ideal), its socle
+    lies in the degrees deg F_i (QuotientBasis.socle_dim), and gens are
+    sifted when read."""
 
-    def __init__(self, ring, blocks, top, recipe, socle_degrees):
-        self.ring, self.recipe, self._top = ring, recipe, top
+    def __init__(self, ring, forms, recipe, rows=None):
+        self.ring, self.recipe = ring, recipe
+        self._top = max((f.degree for f in forms), default=-1) + 1
+
+        def blocks(d):
+            return [contraction_map(f, d) if rows is None
+                    else PrimeMatrix._trusted(contraction_map(f, d).a[rows[f.degree - d]], ring.p)
+                    for f in forms if f.degree >= d]
+
         self.quotient = QuotientBasis(ring, blocks=blocks)
-        self.quotient._socle_degrees = socle_degrees
+        self.quotient._socle_degrees = {f.degree for f in forms}
 
     gens = property(lambda self: self.quotient.gens)
 
@@ -277,17 +287,12 @@ class QuotientBasis:
         transpose of x_k into W_d; so soc(A)_d is dual to (W / mW)_d, which is
         0 unless W has a minimal generator there, and A_{t+1} = W_{t+1}^* = 0.
 
-        * R/Ann(F_1, ..., F_t), p > s = max deg F_i: D = {deg F_i}.  Each a!,
-          |a| <= s, is a unit mod p, so contraction pairs R_d and dual forms
-          of degree d perfectly, Ann(F)_d is the perpendicular of W_d,
-          W = R o <F_i>, and W / mW is spanned by the F_i (Iarrobino and
-          Kanev, LNM 1721, ch. 1).  Not for p <= s: at n = 2, p = 2,
-          Ann(y1^3 + y2^3) has the socle (1, 1).
-        * R/(c : I), B = R/c of socle degree e: D = {e - deg g : g a given
-          generator of I, deg g <= e}.  B_d x B_{e-d} -> B_e is perfect (B is
-          Gorenstein), so (c : I)_d / c_d = ann_B(IB)_d is the perpendicular
-          of W_d = (IB)_{e-d}, and W / mW is spanned by the given g (Bruns
-          and Herzog, Cohen-Macaulay Rings, 3.3)."""
+        R/Ann(F_1, ..., F_t), the F_i nonzero dual forms: D = {deg F_i}.
+        Contraction pairs R_d and the dual forms of degree d perfectly in
+        every characteristic (x^a o y^b is 1 at b = a), so Ann(F)_d is the
+        perpendicular of W_d, W = R o <F_i>, and W / mW is spanned by the
+        F_i (Iarrobino and Kanev, LNM 1721, Appendix A).  A link c : I is
+        Ann(g o Phi : g in I) (ideal_quotient), so the rule covers it."""
         if d not in self._socle:
             a, known = self.dim(d), self._socle_degrees
             if known is not None and d not in known:
@@ -537,11 +542,7 @@ def betti_numbers(ideal):
     beta = {}
     for i in range(0, n + 1):
         for j in range(i, s + i + 1):
-            e = j - i
-            cdim = adim[e] * len(subsets[i]) if 0 <= e <= s else 0
-            if cdim == 0:
-                continue
-            b = (cdim - boundary_rank(i, j)) - boundary_rank(i + 1, j)
+            b = adim[j - i] * len(subsets[i]) - boundary_rank(i, j) - boundary_rank(i + 1, j)
             if b < 0:
                 raise InternalError(
                     "negative Betti number %d at (%d, %d)" % (b, i, j))
@@ -605,73 +606,61 @@ def _require_contained(c, ideal, role):
 
 
 def ideal_quotient(c, ideal):
-    """The colon ideal c : I by a complete intersection c, read off its
-    membership blocks in degrees up to the socle degree e of R/c, past
-    which it is all of R.
+    """The colon ideal c : I by a complete intersection c, read off the
+    catalecticants of the dual forms g o Phi of the generators g of I.
 
     An Artinian ideal with n minimal generators is a complete intersection,
-    so R/c is Gorenstein (any other c raises ParamError): A_e is its socle,
-    and Phi = table(e), one row, is a functional on R_e vanishing exactly
-    on c_e.  For g in I of degree k <= e, g o Phi = (sum_b g_b Phi[r + b])_r
-    over R_{e-k} is Phi(x^r g), exactly in every characteristic.  The
-    pairing A_{d+k} x A_{e-k-d} -> A_e is perfect, so f in R_d has f g in c
-    exactly when Phi(h f g) = 0 for every h in R_{e-k-d}, and as Phi kills
-    c, standard monomials h suffice.  So the gather of g o Phi at h + f
-    has kernel (c : g)_d (no condition when d + k > e), and the blocks of
-    all g have the joint kernel (c : I)_d: the model reads its degree d
-    (QuotientBasis._read_dual), and its Artinian bound is e + 1.  The
-    generators, sifted when read from kernel_basis of the blocks, depend
-    only on that kernel (the rref of the row space it annihilates), so they
-    are those of the product blocks table(d + k) g, bit for bit.
+    so R/c is Gorenstein (any other c raises ParamError): its socle degree
+    e has A_e its socle, and Phi = table(e), one row, is a dual form of
+    degree e whose annihilator is c (R/c is Ann(Phi): the pairing
+    A_d x A_{e-d} -> A_e is perfect).  Then f g lies in c exactly when
+    f o (g o Phi) = (f g) o Phi = 0, so c : I = Ann(g o Phi : g in I), where
+    g o Phi = contraction_map(Phi, deg g) g, exactly in every characteristic,
+    is 0 for deg g > e and for g in c.  Only the nonzero ones enter, and
+    the rows of each catalecticant are cut to the standard monomials of
+    R/c: row r of f -> f o (g o Phi) is f -> Phi(x^r f g), x^r is a
+    combination of standard monomials modulo c, and Phi kills c.  So the
+    rows cut are combinations of the rows kept, and the cut keeps every
+    kernel: the model and the generators sifted from it are those of the
+    uncut blocks, bit for bit.
     """
-    ring, p = c.ring, c.ring.p
+    ring = c.ring
     qc, h_c = _artinian_quotient(c)
     if len(qc.gens) != ring.n:
         raise ParamError("the linking ideal has %d minimal generators, not %d: "
                          "it is not a complete intersection" % (len(qc.gens), ring.n))
     e = h_c.top_degree()
     _require_contained(c, ideal, "linking")
-
-    def contract(g):
-        # g o Phi: Phi's catalecticant R_k -> R_{e-k}^* applied to g
-        k = g.degree
-        cat = PrimeMatrix._trusted(qc.table(e).a[0][ring.sum_index(e - k, k)], p)
-        return k, cat.matmul(PrimeMatrix._trusted(g.coeffs[:, None], p)).a.ravel()
-
-    duals = [contract(g) for g in ideal.gens if g.degree <= e]
-
-    def blocks(d):
-        return [PrimeMatrix._trusted(f[ring.sum_index(e - k - d, d)[qc._std[e - k - d]]], p)
-                for k, f in duals if d + k <= e]
-
-    recipe = ["quotient", c.recipe, ideal.recipe]
-    return _Annihilator(ring, blocks, e + 1, recipe, {e - k for k, _ in duals})
+    phi = HomogPoly(ring, e, qc.table(e).a[0])
+    duals = [HomogPoly(ring, e - g.degree, contraction_map(phi, g.degree).matmul(
+        PrimeMatrix._trusted(g.coeffs[:, None], ring.p)).a.ravel())
+        for g in ideal.gens if g.degree <= e]
+    return _Annihilator(ring, [f for f in duals if not f.is_zero()],
+                        ["quotient", c.recipe, ideal.recipe], rows=qc._std)
 
 
 def annihilator_ideal(f_list):
-    """The ideal Ann(F) of operators annihilating every given dual form.
+    """The ideal Ann(F) of operators annihilating every given dual form
+    under contraction, in every characteristic.
 
-    Its model is read off the catalecticants, one rref per degree from
-    degree 0 on (zero forms give the unit ideal), and its Artinian bound
-    is s + 1, as R_{s+1} kills every form of degree <= s.  The blocks of
-    degree d are the contraction maps R_d -> dual forms of the forms of
-    degree >= d.  Contraction makes the dual forms an R-module in every
-    characteristic, so their joint kernel is Ann(F)_d, and the model
-    reads degree d off them (QuotientBasis._read_dual).  The generators
-    are sifted once, on first read, from the kernels of the blocks.  Small
-    characteristic can degenerate the pairing (falling factorials vanish
-    mod p), which is allowed, but the socle is read off the degrees of the
-    forms only when p > s (QuotientBasis.socle_dim).
+    Its model is read off the catalecticants of the nonzero forms, one
+    rref per degree from degree 0 on (zero forms alone give the unit
+    ideal), and its Artinian bound is s + 1, as R_{s+1} kills every form of
+    degree <= s.  The blocks of degree d are the contraction maps
+    R_d -> dual forms of the forms of degree >= d.  Contraction makes the
+    dual forms an R-module, so their joint kernel is Ann(F)_d, and the
+    model reads degree d off them (QuotientBasis._read_dual).  The
+    generators are sifted once, on first read, from the kernels of the
+    blocks, and the socle is read off the degrees of the forms
+    (QuotientBasis.socle_dim).
     """
     if not f_list:
         raise ParamError("need at least one dual form")
     ring = f_list[0].ring
     if any(f.ring is not ring for f in f_list):
         raise ParamError("mixed rings")
-    s = max(f.degree for f in f_list)
-    return _Annihilator(ring, lambda d: [contraction_map(f, d) for f in f_list if f.degree >= d],
-                        s + 1, ["ann", len(f_list), s],
-                        {f.degree for f in f_list} if ring.p > s else None)
+    return _Annihilator(ring, [f for f in f_list if not f.is_zero()],
+                        ["ann", len(f_list), max(f.degree for f in f_list)])
 
 
 def perp_basis(c, j):

@@ -7,17 +7,18 @@ descending lexicographic order of exponent vectors (x1-heavy first);
 combined with the grading this is the graded lex order.  Column order in
 every matrix produced here follows these bases, so it must never change.
 
-Every monomial map is read off two tables cached per pair of degrees
+Every monomial map is read off one table cached per pair of degrees
 (d, e): sum_index(d, e)[i, j], the position of basis(d)[i] + basis(e)[j]
-in basis(d + e), and weights(d, e)[r, a], the apolarity weight of
-x^a o y^(r + a) at y^r, exact mod p.  Their rows and columns follow the
-bases of degrees d and e, so every matrix built from them keeps the
-basis order.
+in basis(d + e).  Its rows and columns follow the bases of degrees d and
+e, so every matrix built from it keeps the basis order.
 
 Homogeneous polynomials are coefficient vectors over the basis of their
 degree.  The same representation doubles as the dual space: a "dual" form
-of degree s is paired against operators through contraction, where a
-variable acts as the partial derivative with respect to its dual partner.
+of degree s is paired against operators through contraction, the action
+on divided powers, x^a o y^b = y^(b - a) when b >= a and 0 otherwise.
+With it Macaulay duality holds in every characteristic (Iarrobino and
+Kanev, Power Sums, Gorenstein Algebras, and Determinantal Loci, LNM 1721,
+Appendix A).
 """
 
 import itertools
@@ -35,7 +36,6 @@ __all__ = [
     "FormStream",
     "contraction_map",
     "contract_by_poly",
-    "pairing_weights",
 ]
 
 
@@ -52,7 +52,7 @@ def _monomials(n, d):
 
 class RingCtx:
     """Polynomial ring k[x_1..x_n] over GF(p), with cached bases and
-    monomial pairing tables."""
+    monomial index tables."""
 
     def __init__(self, n, p=32003):
         if n < 1:
@@ -62,7 +62,6 @@ class RingCtx:
         self.p = p
         self._expo = {}
         self._sum_index = {}
-        self._weights = {}
         self._strip = {}
 
     def dim(self, d):
@@ -107,22 +106,6 @@ class RingCtx:
             self._sum_index[d, e] = self._position(lambda i: ta[:, i, None] + tb[:, i],
                                                    (len(ta), len(tb)), d + e)
         return self._sum_index[d, e]
-
-    def weights(self, d, e):
-        """weights(d, e)[r, a] = prod_i (r_i + a_i)! / r_i! mod p over r in
-        basis(d), a in basis(e), so x^a o y^(r + a) = weights(d, e)[r, a] y^r.
-        Built factor by factor: it vanishes exactly where p divides a factor."""
-        if (d, e) not in self._weights:
-            # falling[x, y] = (x + y)! / x! mod p
-            falling = np.ones((d + 1, e + 1), dtype=np.int64)
-            for y in range(1, e + 1):
-                falling[:, y] = falling[:, y - 1] * (np.arange(d + 1) + y) % self.p
-            r, a = self.exponents(d), self.exponents(e)
-            w = np.ones((len(r), len(a)), dtype=np.int64)
-            for i in range(self.n):
-                w = w * falling[r[:, i, None], a[None, :, i]] % self.p
-            self._weights[d, e] = w
-        return self._weights[d, e]
 
     def strip(self, d):
         """For each variable x_{k+1} (d >= 1), (cols, prev): basis(d)[cols]
@@ -278,35 +261,25 @@ class HomogPoly:
 
 
 def contraction_map(F, d):
-    """Matrix of the contraction action of degree d operators on F.
-
-    F is a dual form of degree s; the result maps the degree d piece of
-    the polynomial ring to the dual forms of degree s - d.  A monomial
-    x^a sends y^b to (prod_i b_i!/(b_i-a_i)!) y^(b-a) when b >= a
-    componentwise, else to zero.  Over small characteristic the falling
-    factorials can vanish mod p, so the pairing may degenerate; callers
-    who care should check p > s.  This is the catalecticant Cat_F(d, s - d).
-    """
+    """Matrix of the contraction action of degree d operators on F, the
+    catalecticant Cat_F(d, s - d): it maps the degree d piece of the
+    polynomial ring to the dual forms of degree s - d = deg F - d, and
+    column a, x^a o F, holds the coefficient of F at r + a in row r."""
     ring = F.ring
     s = F.degree
     if d > s:
         raise DegreeError("cannot contract a degree %d form by degree %d" % (s, d))
-    a = F.coeffs[ring.sum_index(s - d, d)] * ring.weights(s - d, d) % ring.p
-    return PrimeMatrix._trusted(a, ring.p)
+    return PrimeMatrix._trusted(F.coeffs[ring.sum_index(s - d, d)], ring.p)
 
 
 def contract_by_poly(g, j):
-    """Matrix of F -> g o F from dual degree j to dual degree j - deg g."""
+    """Matrix of F -> g o F from dual degree j to dual degree j - deg g:
+    column r + a holds the coefficient of g at a in row r."""
     ring, e = g.ring, g.degree
     a = np.zeros((ring.dim(j - e), ring.dim(j)), dtype=np.int64)
     rows = np.arange(ring.dim(j - e))[:, None]
-    a[rows, ring.sum_index(j - e, e)] = g.coeffs * ring.weights(j - e, e) % ring.p
+    a[rows, ring.sum_index(j - e, e)] = g.coeffs
     return PrimeMatrix._trusted(a, ring.p)
-
-
-def pairing_weights(ring, d):
-    """Diagonal of the degree d apolarity pairing: prod_i a_i! mod p."""
-    return ring.weights(0, d)[0]
 
 
 class FormStream:

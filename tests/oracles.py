@@ -14,8 +14,13 @@ random combination of the rows of kernel_basis of the contraction maps.
 
 socle_dim_by_rank eliminates the socle in every degree, the reference for
 the degrees that QuotientBasis.socle_dim reads off the dual generators.
+
+differentiation_map is the apolarity that contraction replaced, a variable
+acting as a partial derivative; divided_powers(F) has under contraction the
+annihilator that F has under differentiation, in degrees below p.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -178,3 +183,30 @@ def socle_dim_by_rank(model, d):
     multiplications A_d -> A_{d+1} by the variables."""
     mults = stack([model.mult(k, d) for k in range(model.ring.n)])
     return model.dim(d) - rank(mults)
+
+
+def differentiation_map(F, d):
+    """Matrix of the differentiation action of degree d operators on F:
+    x^a o y^(r + a) = prod_i (r_i + a_i)! / r_i! y^r mod p.  The weights are
+    built factor by factor, so they vanish exactly where p divides one."""
+    ring, s = F.ring, F.degree
+    if d > s:
+        raise ParamError("cannot differentiate a degree %d form by degree %d" % (s, d))
+    # falling[x, y] = (x + y)! / x! mod p
+    falling = np.ones((s - d + 1, d + 1), dtype=np.int64)
+    for y in range(1, d + 1):
+        falling[:, y] = falling[:, y - 1] * (np.arange(s - d + 1) + y) % ring.p
+    r, a = ring.exponents(s - d), ring.exponents(d)
+    w = np.ones((len(r), len(a)), dtype=np.int64)
+    for i in range(ring.n):
+        w = w * falling[r[:, i, None], a[None, :, i]] % ring.p
+    return PrimeMatrix._trusted(F.coeffs[ring.sum_index(s - d, d)] * w % ring.p, ring.p)
+
+
+def divided_powers(F):
+    """w . F with w_m = prod_i m_i! mod p.  x^a contracts y^(r + a) of it to
+    (r + a)! F_(r+a) y^r, r! times what x^a differentiates F to, so for
+    deg F < p the catalecticants of the two differ by a unit row scaling."""
+    w = [math.prod(map(math.factorial, m)) % F.ring.p
+         for m in F.ring.exponents(F.degree).tolist()]
+    return HomogPoly(F.ring, F.degree, F.coeffs * np.array(w, dtype=np.int64))

@@ -443,6 +443,20 @@ def test_mapping_cone_split_guard():
         mapping_cone_link([4, 4, 4], points, target_hf=[1, 2, 3])
 
 
+@pytest.mark.parametrize("twist", [5, 9])
+def test_mapping_cone_refuses_a_negative_twist(twist):
+    # R(-twist) dualizes to R(4 - twist) under the degree sum 4: at -1 the
+    # Euler coefficients once wrapped round, at -5 they overran
+    with pytest.raises(ParamError, match="negative twist"):
+        mapping_cone_link([2, 2], BettiTable.from_modules([{0: 1}, {twist: 1}]))
+
+
+@pytest.mark.parametrize("beta", [{(1, -1): 1}, {(1, 2): -1}])
+def test_betti_table_refuses_a_negative_entry(beta):
+    with pytest.raises(ParamError, match="negative twist or multiplicity"):
+        BettiTable({(0, 0): 1, **beta})
+
+
 def oracle_mapping_cone_link(res_ci, res_i, d=None, split="min-consistent",
                              target_hf=None, n=None):
     # the library's cone before its unused policies and parameters went

@@ -333,8 +333,8 @@ def test_link_witness_is_pinned(tmp_path, capsys, p, digest):
 
 
 @pytest.mark.parametrize("p, digest", [
-    ("32003", "1d0a18e7b9999f6832fee0ef45850a19e4db72ab124349ba28167e83e0b1d8c2"),
-    ("2147483647", "6c2abbe62073bde0e00072f9e408343a3e43061387972a5a8e6affc84c0ceadc"),
+    ("32003", "c057a7ab7bf441c454baa49a30c91a22fd1c2ea3a2cb3b9c0054ad4a95489951"),
+    ("2147483647", "951362dfbb3d00cc424859850e13cc9708a08466c628689c4ae8896a6d18e72d"),
 ])
 def test_ann_witness_is_pinned(tmp_path, capsys, p, digest):
     # the generators an annihilator sifts, at a small modulus and at the largest
@@ -343,6 +343,27 @@ def test_ann_witness_is_pinned(tmp_path, capsys, p, digest):
                  "-p", p, "--witness", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_annihilator_of_one_form_is_gorenstein_at_p_2(capsys):
+    # contraction pairs perfectly at p = 2 <= s = 4: one form, one socle degree
+    argv = ["resolve", "ann(perp-pick(1,4,ci(5)))", "-n", "3", "-p", "2"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "hf: 1 3 6 3 1\n\n"
+        "total:      1     7     7     1\n"
+        "--------------------------------\n"
+        "      0:      1     -     -     -\n"
+        "      1:      -     -     -     -\n"
+        "      2:      -     7     7     -\n"
+        "      3:      -     -     -     -\n"
+        "      4:      -     -     -     1\n\n"
+        "socle: (4)\n")
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(
+        {"betti": [[0, 0, 1], [1, 3, 7], [2, 4, 7], [3, 7, 1]], "ghosts": [],
+         "hf": [1, 3, 6, 3, 1], "n": 3, "p": 2, "recipe": "ann(perp-pick(1,4,ci(5)))",
+         "seed": 1, "socle": [4]}, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("p, digest", [
