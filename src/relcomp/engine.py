@@ -17,14 +17,13 @@ The readers dim, mult, socle_dim and reduce derive the rest from them.
 Each GradedIdeal owns one QuotientBasis, shared by every reader of R/I.
 The degree up to which R/I is probed is the ideal's proven
 GradedIdeal.artinian_bound.  There are two ways in.  The sieve, for given
-generators: each enters the model through QuotientBasis.sift, which
-records the ones it keeps (QuotientBasis.gens), a minimal generating set;
-minimal_generators reads them off the ideal's own model.  The read, for an
-ideal given by membership blocks whose joint kernel in R_d is I_d: the
-catalecticants of its dual forms, F for R/Ann(F) (annihilator_ideal) and
-I o Phi for a link c : I, Phi the dual socle generator of R/c
-(ideal_quotient).  It reads each degree off one rref of the blocks, and
-sifts the generators into a fresh model only when something reads them.
+generators, quotients each degree by them before it is stored and keeps a
+minimal generating set (QuotientBasis.gens, read by minimal_generators).
+The read, for an ideal given by membership blocks whose joint kernel in
+R_d is I_d: the catalecticants of its dual forms, F for R/Ann(F)
+(annihilator_ideal) and I o Phi for a link c : I, Phi the dual socle
+generator of R/c (ideal_quotient).  It reads each degree off one rref of
+the blocks, and sieves its own degrees only when its generators are read.
 
 On top of that sit Hilbert functions, graded Betti numbers via the
 homology of the Koszul complex tensored with A, minimal generator
@@ -146,7 +145,7 @@ class _Annihilator(GradedIdeal):
     with the rows of F cut to rows[deg F - d] when rows is given.  R/I
     vanishes from degree max deg F_i + 1 on (0: the unit ideal), its socle
     lies in the degrees deg F_i (QuotientBasis.socle_dim), and gens are
-    sifted when read."""
+    found when read."""
 
     def __init__(self, ring, forms, recipe, rows=None):
         self.ring, self.recipe = ring, recipe
@@ -176,9 +175,9 @@ class QuotientBasis:
     _std[d] holds the standard monomials of I of degree d (those outside
     its initial ideal) for the degree reverse lexicographic order, the
     Macaulay basis of Cox, Little and O'Shea, Ideals, Varieties, and
-    Algorithms, section 5.3.  _build(d) finds them from degree d - 1 alone
-    for the ideal J generated in degrees < d (equal to I below degree d),
-    then sifts the degree d generators in.  Proof for J, S = _std[d - 1]:
+    Algorithms, section 5.3.  _span(d) finds them from degree d - 1 for
+    the ideal J generated in degrees < d (I below degree d), and _build(d)
+    sieves the degree d generators in.  Proof for J, S = _std[d - 1]:
 
     * R_1 (x) R_{d-1} -> R_d is onto, and its kernel is spanned by the
       Koszul relations x_j (x) x_k m - x_k (x) x_j m (R's Koszul complex
@@ -208,52 +207,52 @@ class QuotientBasis:
       identity on them.  A commutation row whose products x_k b and x_j b
       are both standard vanishes; zero rows are dropped before eliminating.
     * Every reader (hilbert_function, betti_numbers, socle_dim, the
-      sifting and _require_contained) reads only dimensions, ranks and
+      sieve and _require_contained) reads only dimensions, ranks and
       kernels, which do not depend on the basis.
 
-    Every generator enters through sift, a given one when its degree is
-    built (degree 0 on construction); sift proves that the result is the
-    model a fresh build gives.  gens records the generators sift keeps: a
-    minimal generating set of the ideal modelled, up to the top degree.
-    A model given membership blocks (blocks(d), a list of PrimeMatrix whose
-    joint kernel in R_d is I_d, empty where A_d = 0) reads each degree off
-    one rref of the stacked blocks B(d) instead (_read_dual, with its
-    proof).  Its gens are sifted on first read into a fresh model, from
-    the kernels of the B(d), and that model must end on the read arrays.
+    A stored degree is final: _build(d) sieves the degree d generators into
+    _span(d) before storing it, and gens records those _sieve keeps, minimal
+    up to the top degree.  A model given membership blocks (blocks(d), a
+    list of PrimeMatrix whose joint kernel in R_d is I_d, empty where
+    A_d = 0) reads each degree off one rref of the stacked blocks B(d)
+    instead (_read_dual, with its proof), and finds gens on its own degrees.
     """
 
     def __init__(self, ring, gens=(), blocks=None):
         self.ring = ring
-        self.gens_by_degree = {}
-        for g in gens:
-            self.gens_by_degree.setdefault(g.degree, []).append(g)
-        self._blocks = blocks  # the model of R/I read off B(d), gens sifted when read
-        self._gens = None if blocks else []  # the generators sift kept, in order
+        self._given = list(gens)
+        self._blocks = blocks  # the model of R/I read off B(d), gens sieved when read
+        self._gens = None if blocks else []  # the generators _sieve kept, in order
         # _socle[d]: dim soc(A)_d, read from A_d and A_{d+1}; _socle_degrees:
         # the D of socle_dim, None but in a model of an inverse system
         self._socle, self._socle_degrees = {}, None
-        # degrees 0, ..., len(_std) - 1 are built: none yet of a read model
-        self._std, self._table = [], []
-        if not blocks:
-            self._std.append(np.zeros(1, dtype=np.int64))
-            self._table.append(PrimeMatrix(np.ones((1, 1), dtype=np.int64), ring.p))
-            self._sift_given(0)
+        self._std, self._table = [], []  # degrees 0, ..., len(_std) - 1 are built
 
     @property
     def gens(self):
+        """The generators _sieve kept: minimal, up to the top degree built.  A
+        read model finds them when first read, on its own degrees: in each d,
+        _span(d), sieved by kernel_basis(table(d)) where it exceeds A_d, must
+        give the read degree d.  They are those a sieve model of the kernels
+        of the B(d) keeps: its degree d - 1 arrays are the read ones (checked
+        one degree lower), so its _span(d) is the same; and kernel_basis reads
+        the rref, which depends only on the row space, while table(d) and B(d)
+        both have kernel I_d, so row space I_d-perp and one kernel basis."""
         if self._gens is None:
-            fresh = QuotientBasis(self.ring)
+            gens = []
             for d in itertools.count():
-                if fresh.dim(d) > self.dim(d):
-                    fresh.sift(kernel_basis(self._stacked(d)).a, d)
-                if fresh.dim(d) != self.dim(d):
+                std, table = self._span(d)
+                if std.size > self.dim(d):
+                    rows = kernel_basis(self.table(d)).a
+                    std, table, kept = _sieve(std, table, rows)
+                    gens += [HomogPoly(self.ring, d, rows[i]) for i in kept]
+                if std.size != self.dim(d):
                     raise InternalError("inconsistent quotient dimensions in degree %d" % d)
-                if not (np.array_equal(fresh._std[d], self._std[d])
-                        and fresh.table(d) == self.table(d)):
+                if not (np.array_equal(std, self._std[d]) and table == self.table(d)):
                     raise InternalError("the sieve and the catalecticants disagree")
-                if not fresh.dim(d):
+                if not std.size:
                     break
-            self._gens = fresh._gens
+            self._gens = gens
         return self._gens
 
     def dim(self, d):
@@ -266,7 +265,7 @@ class QuotientBasis:
     def span_dim(self, d):
         """dim (R/J)_d, d >= 1, for J generated by I in degrees < d: dim A_d
         plus the degree d generators when gens are known, and otherwise the
-        products M_d modulo the commutation relations (_build's proof)."""
+        products M_d modulo the commutation relations (the proof of _span)."""
         if self._gens is not None:
             return self.dim(d) + sum(g.degree == d for g in self._gens)
         _, keys, _, rels = self._products(d)
@@ -311,41 +310,6 @@ class QuotientBasis:
         t = self.table(f.degree)
         return t.matmul(PrimeMatrix(f.coeffs.reshape(-1, 1), self.ring.p)).a.ravel()
 
-    def sift(self, rows, d):
-        """Add as generators the rows (coefficient vectors in R_d, d not below
-        the top degree built) whose classes are independent of those of the rows
-        before them; returns their indices, the row rank profile of
-        table(d) rows^T.  With K the kept classes, Pi the kernel basis of
-        K^T and free its free columns, A_d is quotiented in place: _std[d]
-        and table(d) become _std[d][free] and Pi table(d), the arrays a fresh
-        build gives, and mult(k, d - 1), read off table(d), follows Pi.
-        Proof: table(d) writes a form as its normal form on the standard
-        monomials, which keeps a standard leading monomial.  So the new
-        initial ideal in degree d adds the leading monomials of span(K): the
-        pivot columns of K^T, whose columns are _std[d] in descending
-        degrevlex order.  The free ones are the new standard monomials; on
-        them every class is unique, so table(d) is too, and Pi (the identity
-        on the free columns) maps old classes to new ones.  A kept row in
-        degree 0 leaves A_0 = 0, and every later degree builds empty.  The
-        kept rows are appended to gens."""
-        if d < len(self._std) - 1:
-            raise InternalError("degree %d lies below the degrees built" % d)
-        classes = self.table(d).matmul(PrimeMatrix(np.asarray(rows).T, self.ring.p))
-        kept = rref(classes)[1]
-        if kept:
-            pi, free = _kernel(PrimeMatrix._trusted(classes.a[:, kept].T, classes.p))
-            self._std[d] = self._std[d][free]
-            self._table[d] = pi.matmul(self._table[d])
-            self._gens += [HomogPoly(self.ring, d, rows[i]) for i in kept]
-        for e in (d - 1, d):  # the socle dims that read A_d
-            self._socle.pop(e, None)
-        return kept
-
-    def _sift_given(self, d):
-        """Sift the given generators of degree d, the top degree built."""
-        if d in self.gens_by_degree:
-            self.sift(np.array([g.coeffs for g in self.gens_by_degree[d]]), d)
-
     def _products(self, d):
         """The degrevlex order of R_d, and the columns M_d (keys, pos) and the
         nonzero relation rows of (R/J)_d; none of either when A_{d-1} = 0."""
@@ -373,7 +337,20 @@ class QuotientBasis:
         return order, keys, pos, PrimeMatrix._trusted(rels[rels.any(axis=1)], p)
 
     def _build(self, d):
+        std, table = self._span(d)
+        given = [g for g in self._given if g.degree == d]
+        if given:
+            std, table, kept = _sieve(std, table, np.array([g.coeffs for g in given]))
+            self._gens += [given[i] for i in kept]
+        self._std.append(std)
+        self._table.append(table)
+
+    def _span(self, d):
+        """(_std[d], table(d)) of (R/J)_d, J generated by I in degrees < d,
+        read from degree d - 1 (the class docstring's proof); R_0 at d = 0."""
         ring, p = self.ring, self.ring.p
+        if not d:
+            return np.zeros(1, dtype=np.int64), PrimeMatrix([[1]], p)
         order, keys, pos, rels = self._products(d)
         # vred: coordinates of every product in the basis of (R/J)_d
         ker, free = _kernel(rels)
@@ -386,13 +363,7 @@ class QuotientBasis:
             for k, (cols, prev) in enumerate(ring.strip(d)):
                 sub = PrimeMatrix._trusted(prev_table.a[:, prev], p)
                 table[:, cols] = PrimeMatrix._trusted(vred[:, pos[:, k]], p).matmul(sub).a
-        self._std.append(order[keys[free]])
-        self._table.append(PrimeMatrix._trusted(table, p))
-        self._sift_given(d)
-
-    def _stacked(self, d):
-        """B(d): the blocks of degree d stacked, no rows when there are none."""
-        return stack([PrimeMatrix.zeros(0, self.ring.dim(d), self.ring.p)] + self._blocks(d))
+        return order[keys[free]], PrimeMatrix._trusted(table, p)
 
     def _read_dual(self, d):
         """Degree d of the model from one rref of B(d), columns in ascending
@@ -410,11 +381,33 @@ class QuotientBasis:
         So both arrays equal those of the sieve model of the generators."""
         ring = self.ring
         asc = np.lexsort(ring.exponents(d).T)[::-1]
-        red, pivots = rref(PrimeMatrix._trusted(self._stacked(d).a[:, asc], ring.p))
+        stacked = stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + self._blocks(d))
+        red, pivots = rref(PrimeMatrix._trusted(stacked.a[:, asc], ring.p))
         table = np.zeros((len(pivots), ring.dim(d)), dtype=np.int64)
         table[:, asc] = red.a[:len(pivots)][::-1]
         self._std.append(asc[pivots][::-1])
         self._table.append(PrimeMatrix._trusted(table, ring.p))
+
+
+def _sieve(std, table, rows):
+    """Quotient a degree d of a model, its (std, table), by the rows
+    (coefficient vectors in R_d): kept is the row rank profile of the
+    classes table rows^T, and with Pi the kernel basis of the kept classes
+    K^T and free its free columns, the result is (std[free], Pi table, kept).
+    Proof: table writes a form as its normal form on the standard monomials,
+    which keeps a standard leading monomial.  So the new initial ideal in
+    degree d adds the leading monomials of span(K): the pivot columns of
+    K^T, whose columns are std in descending degrevlex order.  The free ones
+    are the new standard monomials; on them every class is unique, so the
+    new table is too, and Pi (the identity on the free columns) maps old
+    classes to new ones.  A kept row in degree 0 leaves A_0 = 0, and every
+    later degree builds empty."""
+    classes = table.matmul(PrimeMatrix(np.asarray(rows).T, table.p))
+    kept = rref(classes)[1]
+    if kept:
+        pi, free = _kernel(PrimeMatrix._trusted(classes.a[:, kept].T, classes.p))
+        std, table = std[free], pi.matmul(table)
+    return std, table, kept
 
 
 def hilbert_function(ideal, cap=None):
@@ -469,12 +462,12 @@ def betti_numbers(ideal):
       is spanned by the commutation relations, so by bullets 1 and 2 of
       QuotientBasis' proof its cokernel is (R/J)_j (span_dim).  A model
       that knows its generators counts them, dim (R/J)_j = dim A_j +
-      beta_{1,j}: sift keeps a degree j generator exactly when it is
+      beta_{1,j}: _sieve keeps a degree j generator exactly when it is
       independent of R_1 I_{j-1} and those kept before it, and
       beta_{1,j} = dim (I/mI)_j counts the minimal generators of degree j
       (Eisenbud, The Geometry of Syzygies, ch. 1).  So for n <= 3 it
       eliminates no rank.  Any other model eliminates the relations on the
-      products M_j and sifts nothing.  The rule comes after the two below,
+      products M_j and sieves nothing.  The rule comes after the two below,
       which cost nothing: the mirrored rank is one the table reads anyway.
     * When dim A_{e+1} = dim R_{e+1}, I vanishes in degrees <= e + 1 (R is
       a domain), so d_i(j) is the map of R's Koszul complex in degree j.
@@ -621,7 +614,7 @@ def ideal_quotient(c, ideal):
     R/c: row r of f -> f o (g o Phi) is f -> Phi(x^r f g), x^r is a
     combination of standard monomials modulo c, and Phi kills c.  So the
     rows cut are combinations of the rows kept, and the cut keeps every
-    kernel: the model and the generators sifted from it are those of the
+    kernel: the model, and so the generators found on it, are those of the
     uncut blocks, bit for bit.
     """
     ring = c.ring
@@ -649,10 +642,9 @@ def annihilator_ideal(f_list):
     degree <= s.  The blocks of degree d are the contraction maps
     R_d -> dual forms of the forms of degree >= d.  Contraction makes the
     dual forms an R-module, so their joint kernel is Ann(F)_d, and the
-    model reads degree d off them (QuotientBasis._read_dual).  The
-    generators are sifted once, on first read, from the kernels of the
-    blocks, and the socle is read off the degrees of the forms
-    (QuotientBasis.socle_dim).
+    model reads degree d off them (QuotientBasis._read_dual).  Its
+    generators are found when first read, and its socle is read off the
+    degrees of the forms (QuotientBasis.socle_dim).
     """
     if not f_list:
         raise ParamError("need at least one dual form")

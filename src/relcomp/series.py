@@ -70,7 +70,7 @@ class HilbertSeries:
             return NotImplemented
         if self.exact and other.exact:
             return self.trimmed() == other.trimmed()
-        top = min(self.cap, other.cap)
+        top = min(s.cap for s in (self, other) if not s.exact)
         return all(self[d] == other[d] for d in range(top + 1))
 
     def __repr__(self):

@@ -7,7 +7,8 @@ relcomp.engine.betti_numbers it uses no Koszul homology, no rank rule and
 no generator count of the model's sieve.
 
 sift_generators is the eager sieve that colon ideals once ran: the joint
-kernel of membership blocks (kernel_rows), sifted degree by degree.
+kernel of membership blocks (kernel_rows), sifted degree by degree through
+the QuotientBasis constructor.
 
 perp_picks_by_basis is the draw that perp_picks once made: each pick is a
 random combination of the rows of kernel_basis of the contraction maps.
@@ -26,7 +27,7 @@ from collections import Counter
 import numpy as np
 
 from relcomp.betti import BettiTable
-from relcomp.engine import hilbert_function
+from relcomp.engine import QuotientBasis, hilbert_function
 from relcomp.errors import InternalError, NotArtinianError, ParamError
 from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref, stack
 from relcomp.ring import HomogPoly, contract_by_poly
@@ -138,20 +139,23 @@ def monomials_recursive(n, d):
     return out
 
 
-def sift_generators(model, degrees, candidates):
-    """Sift into a model with no generators, degree 0 alone built, the rows
-    of candidates(d), d in degrees; the generators it keeps are model.gens.
-    candidates(d) gives the rows (a PrimeMatrix) and the dim A_d they
-    leave: they are sifted only when they add generators, and any other
-    dim raises InternalError.  Stops where the model vanishes."""
+def sift_generators(ring, degrees, candidates):
+    """The model of the rows of candidates(d), d in degrees, sifted degree
+    by degree; the generators it keeps are its gens.  candidates(d) gives
+    the rows (a PrimeMatrix) and the dim A_d they leave: when they add
+    generators, a new model is constructed on the generators kept so far
+    and these rows, and any other dim raises InternalError.  Stops where
+    the model vanishes."""
+    model = QuotientBasis(ring)
     for d in degrees:
         if model.dim(d) == 0:
             break
         rows, target = candidates(d)
         if model.dim(d) > target:
-            model.sift(rows.a, d)
+            model = QuotientBasis(ring, model.gens + [HomogPoly(ring, d, r) for r in rows.a])
         if model.dim(d) != target:
             raise InternalError("inconsistent quotient dimensions in degree %d" % d)
+    return model
 
 
 def kernel_rows(ring, d, blocks):

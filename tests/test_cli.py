@@ -407,14 +407,21 @@ def test_resolve_refuses_a_sub_recipe_of_the_wrong_kind(capsys, recipe, refusal)
     assert capsys.readouterr().err == "error: %s\n" % refusal
 
 
-@pytest.mark.parametrize("recipe, n, models", [
-    ("ann(perp-pick(1,6,ci(2)))", "4", 1),
-    ("link(ci(3,3,3), general-forms(3,3,3,3))", "3", 3),
-])
-def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, recipe, n,
-                                            models):
+MODEL_CASES = [
+    ("ann(perp-pick(1,6,ci(2)))", "4", 1, False),
+    ("link(ci(3,3,3), general-forms(3,3,3,3))", "3", 3, False),
+    ("link(ci(3,3,3),general-forms(2,3,3,3))", "3", 3, True),
+]
+
+
+@pytest.mark.parametrize("recipe, n, models, witness", MODEL_CASES, ids=[
+    "%s-%s-%d%s" % (recipe, n, models, "-witness" * witness)
+    for recipe, n, models, witness in MODEL_CASES])
+def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, tmp_path, recipe, n,
+                                            models, witness):
     # ann: the annihilator's incremental model, which the result carries;
-    # link: the models of both ideals and the colon's, which the result carries
+    # link: the models of both ideals and the colon's, which the result
+    # carries and on whose own degrees a witness finds the generators
     built = []
     init = QuotientBasis.__init__
 
@@ -423,22 +430,24 @@ def test_resolve_builds_one_model_per_ideal(monkeypatch, capsys, recipe, n,
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(QuotientBasis, "__init__", counting_init)
-    assert main(["resolve", recipe, "-n", n]) == 0
+    args = ["--witness", str(tmp_path / "w.json")] if witness else []
+    assert main(["resolve", recipe, "-n", n] + args) == 0
     assert "socle:" in capsys.readouterr().out
     assert len(built) == models
+    assert (tmp_path / "w.json").exists() == witness
 
 
 def test_compressed_gorenstein_resolve_sifts_nothing(monkeypatch, capsys):
     # the model is read off the catalecticants, and every rank d_2 comes from
-    # R's strand or the Gorenstein mirror, so the generators are never sifted;
+    # R's strand or the Gorenstein mirror, so the generators are never sieved;
     # perp_picks draws from an rref, so no step takes a kernel; the socle is
     # read off the form's degree, so no step takes a rank
     def refuse(*args, **kwargs):
-        raise AssertionError("resolve built, sifted or took a kernel or rank in the model")
+        raise AssertionError("resolve built, sieved or took a kernel or rank in the model")
 
     monkeypatch.setattr(engine, "rank", refuse)
     monkeypatch.setattr(QuotientBasis, "_build", refuse)
-    monkeypatch.setattr(QuotientBasis, "sift", refuse)
+    monkeypatch.setattr(engine, "_sieve", refuse)
     monkeypatch.setattr(engine, "_kernel", refuse)
     monkeypatch.setattr(engine, "kernel_basis", refuse)
     monkeypatch.setattr(gfp, "_kernel", refuse)

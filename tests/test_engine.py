@@ -1,6 +1,5 @@
 """Exact engine: quotient algebras, linkage, inverse systems, verdicts."""
 
-import copy
 import functools
 import gc
 import itertools
@@ -206,26 +205,28 @@ def draw_sift_rows(data, ring, stream, d, gens):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_sift_matches_a_fresh_model(data):
-    # sift quotients the top degree built in place: it keeps the row rank
-    # profile of the rows' classes, and the model it leaves is the one a
-    # fresh QuotientBasis of the kept generators builds
+    # the model of drawn rows, redundant ones included, keeps in each degree
+    # the row rank profile of the rows' classes, the given objects
+    # themselves, and is the model a fresh QuotientBasis of the kept
+    # generators builds
     n = data.draw(st.integers(1, 5), label="n")
     p = data.draw(st.sampled_from([2, 3, 32003]), label="p")
     seed = data.draw(st.integers(1, 1000), label="seed")
     ring = RingCtx(n, p)
     stream = FormStream(ring, seed)
     top = data.draw(st.integers(0, 4 if n < 4 else 3), label="top")
-    model, gens = QuotientBasis(ring), []
+    given, gens = [], []
     for d in range(top + 1):
-        model.dim(d)
-        model.socle_dim(d - 1)  # a cached socle dim that reads A_d
         rows = draw_sift_rows(data, ring, stream, d, gens)
         # the oracle: a row is kept when adding it lowers dim A_d
         dims = [QuotientBasis(ring, gens + [HomogPoly(ring, d, r) for r in rows[:i]]).dim(d)
                 for i in range(len(rows) + 1)]
-        kept = model.sift(rows, d)
-        assert kept == [i for i in range(len(rows)) if dims[i + 1] < dims[i]]
-        gens += [HomogPoly(ring, d, rows[i]) for i in kept]
+        drawn = [HomogPoly(ring, d, r) for r in rows]
+        given += drawn
+        gens += [drawn[i] for i in range(len(rows)) if dims[i + 1] < dims[i]]
+    model = QuotientBasis(ring, given)
+    model.dim(top)
+    assert [id(g) for g in model.gens] == [id(g) for g in gens]
     fresh = QuotientBasis(ring, gens)
     for d in range(top + 2):
         assert model.dim(d) == fresh.dim(d)
@@ -237,34 +238,30 @@ def test_sift_matches_a_fresh_model(data):
 
 
 def test_a_zero_constant_is_not_the_unit_ideal():
-    # a degree 0 generator enters through sift like any other: only a
-    # nonzero constant quotients A_0 to 0
+    # a degree 0 generator is sieved like any other: only a nonzero
+    # constant quotients A_0 to 0
     r = RingCtx(1, 2)
     assert QuotientBasis(r, [HomogPoly(r, 0, np.zeros(1, dtype=np.int64))]).dim(0) == 1
     assert QuotientBasis(r, [r.monomial((0,))]).dim(0) == 0
-
-
-def test_sift_refuses_a_degree_below_the_top():
-    # the degrees above it were built from the A_d it would change
-    ring = ring3()
-    model = QuotientBasis(ring)
-    model.dim(3)
-    with pytest.raises(InternalError, match="below the degrees built"):
-        model.sift(np.array([ring.variable(1).coeffs]), 1)
 
 
 class OracleQuotientBasis(QuotientBasis):
     """The model with an abstract basis: A_d as the quotient of
     x_1*A_{d-1} + ... + x_n*A_{d-1} (n * dim A_{d-1} columns) by the
     commutation relations and the generator images, eliminated here rather
-    than sifted.  The reference for the monomial-basis model, which must
+    than sieved.  The reference for the monomial-basis model, which must
     describe the same algebra.  With no monomial basis, mult cannot be read
     off the table: it keeps its own dims, multiplication maps and top
-    degree."""
+    degree, and builds degree 0 on construction."""
 
     def __init__(self, ring, gens=()):
-        self._dims, self._mult, self._top = {0: 1}, {}, 0
         super().__init__(ring, gens)
+        self._dims, self._mult, self._top = {0: 1}, {}, 0
+        self._table.append(PrimeMatrix(np.ones((1, 1), dtype=np.int64), ring.p))
+        # a nonzero constant leaves A_0 = 0
+        if any(g.coeffs.any() for g in self._given if g.degree == 0):
+            self._dims[0] = 0
+            self._table[0] = PrimeMatrix.zeros(0, 1, ring.p)
 
     def dim(self, d):
         if d < 0:
@@ -278,19 +275,13 @@ class OracleQuotientBasis(QuotientBasis):
         # source or target is zero when _build stored no map
         return self._mult.get((k, d), PrimeMatrix.zeros(rows, self.dim(d), self.ring.p))
 
-    def _sift_given(self, d):
-        # called for degree 0 only: a nonzero constant leaves A_0 = 0
-        if any(g.coeffs.any() for g in self.gens_by_degree.get(d, [])):
-            self._dims[0] = 0
-            self._table[0] = PrimeMatrix.zeros(0, 1, self.ring.p)
-
     def _build(self, d):
         ring = self.ring
         n, p = ring.n, ring.p
         a1 = self._dims[d - 1]
         a2 = self._dims.get(d - 2, 0)
         vdim = n * a1
-        gens_d = self.gens_by_degree.get(d, [])
+        gens_d = [g for g in self._given if g.degree == d]
         if vdim == 0:
             self._dims[d] = 0
             self._table.append(PrimeMatrix(
@@ -399,16 +390,16 @@ def test_monomial_model_matches_oracle_model(data):
 
 
 def test_model_eliminates_over_the_shadow(monkeypatch):
-    # every elimination of _build has at most min(n dim A_{d-1}, dim R_d)
+    # every elimination of _span has at most min(n dim A_{d-1}, dim R_d)
     # columns: one per distinct product of a basis monomial and a variable
-    # (the kernels sift takes of the generator classes are not counted)
+    # (the kernels _sieve takes of the generator classes are not counted)
     ring = RingCtx(4, 32003)
     ideal = general_forms((4, 4, 4, 4, 11), FormStream(ring, 1))
     widths = []
     true_kernel = engine._kernel
 
     def kernel(m):
-        if sys._getframe(1).f_code is QuotientBasis._build.__code__:
+        if sys._getframe(1).f_code is QuotientBasis._span.__code__:
             widths.append(m.cols)
         return true_kernel(m)
 
@@ -505,24 +496,25 @@ def test_minimal_generators_read_a_sifted_ideal(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["ann", "colon"])
 def test_sieve_refuses_a_quotient_of_the_wrong_dimension(monkeypatch, kind):
-    # a sift that drops its last kept row leaves A_d one dimension too big
-    true_sift = QuotientBasis.sift
+    # a sieve that drops its last kept row leaves A_d one dimension too big
+    true_sieve = engine._sieve
 
-    def dropping(self, rows, d):
-        kept = true_sift(copy.deepcopy(self), rows, d)
-        return [kept[i] for i in true_sift(self, rows[kept[:-1]], d)]
+    def dropping(std, table, rows):
+        kept = true_sieve(std, table, rows)[2]
+        std, table, again = true_sieve(std, table, rows[kept[:-1]])
+        return std, table, [kept[i] for i in again]
 
     ring = ring3()
     stream = FormStream(ring, 5)
     if kind == "ann":
-        # an annihilator sifts its generators when they are first read
+        # an annihilator sieves its degrees when its generators are first read
         read = annihilator_ideal(stream.forms([4]))
     else:
-        # so does a link; the models of c and of the linked ideal sift
+        # so does a link; the models of c and of the linked ideal sieve
         # their given generators, before the fault is injected
         c = general_forms((3, 3, 3), stream)
         read = ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2])))
-    monkeypatch.setattr(QuotientBasis, "sift", dropping)
+    monkeypatch.setattr(engine, "_sieve", dropping)
     with pytest.raises(InternalError, match="inconsistent quotient dimensions"):
         read.gens
 
@@ -595,8 +587,7 @@ def test_link_matches_the_product_definition(data):
             c.quotient.table(d + g.degree).matmul(ring.mult_map(g, d))
             for g in linked.gens if d + g.degree <= e])
 
-    want = QuotientBasis(ring)
-    sift_generators(want, range(e + 2), candidates)
+    want = sift_generators(ring, range(e + 2), candidates)
     assert [g.degree for g in got.gens] == [g.degree for g in want.gens]
     assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(got.gens, want.gens))
 
@@ -604,7 +595,7 @@ def test_link_matches_the_product_definition(data):
 @pytest.mark.parametrize("n", [3, 4])
 def test_a_link_is_read_without_a_sieve(monkeypatch, n):
     # once the models of c and J are built, the link's model, its Hilbert
-    # function, socle and Betti table build, sift and take no kernel
+    # function, socle and Betti table build, sieve and take no kernel
     ring = RingCtx(n, 32003)
     stream = FormStream(ring, 6)
     c = general_forms((3,) * n, stream)
@@ -613,10 +604,10 @@ def test_a_link_is_read_without_a_sieve(monkeypatch, n):
         hilbert_function(ideal)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the link built, sifted or took a kernel")
+        raise AssertionError("the link built, sieved or took a kernel")
 
     monkeypatch.setattr(QuotientBasis, "_build", refuse)
-    monkeypatch.setattr(QuotientBasis, "sift", refuse)
+    monkeypatch.setattr(engine, "_sieve", refuse)
     monkeypatch.setattr(engine, "_kernel", refuse)
     link = ideal_quotient(c, linked)
     got = hilbert_function(link), socle(link), betti_numbers(link)
@@ -1037,31 +1028,33 @@ def test_link_model_matches_the_sifted_model(data):
 
 
 def test_annihilator_generators_are_sifted_once(monkeypatch):
-    # the first read of gens sifts them into one fresh model, for an
-    # annihilator and a link alike; later reads, minimal_generators and
-    # betti_numbers sift nothing
+    # the first read of gens finds them on the model's own degrees, for an
+    # annihilator and a link alike, and constructs no second model; later
+    # reads, minimal_generators and betti_numbers sieve nothing
     ring = ring3()
     stream = FormStream(ring, 4)
     c = general_forms((3, 3, 3), stream)
     ideals = [annihilator_ideal(FormStream(ring, 3).forms([4, 4])),
               ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2])))]
-    runs = []
-    init = QuotientBasis.__init__
+    runs, sieves = [], []
+    init, sieve = QuotientBasis.__init__, engine._sieve
     monkeypatch.setattr(QuotientBasis, "__init__",
                         lambda self, *args, **kw: runs.append(args) or init(self, *args, **kw))
+    monkeypatch.setattr(engine, "_sieve", lambda *args: sieves.append(args) or sieve(*args))
     for ideal in ideals:
-        runs.clear()
+        sieves.clear()
         first = ideal.gens
-        assert len(runs) == 1
+        assert not runs and sieves
+        sieved = len(sieves)
         assert ideal.gens is first and ideal.quotient.gens is first
         assert minimal_generators(ideal) == sorted(Counter(g.degree for g in first).items())
         betti_numbers(ideal)
-        assert len(runs) == 1
+        assert not runs and len(sieves) == sieved
 
 
 def test_a_failed_sieve_leaves_the_catalecticant_model(monkeypatch):
     # the arrays read off the catalecticants stay, and the next read of gens
-    # sifts again instead of returning a partial list
+    # sieves again instead of returning a partial list
     ring = ring3()
     ideal = annihilator_ideal(FormStream(ring, 3).forms([4]))
     model = ideal.quotient
@@ -1071,7 +1064,7 @@ def test_a_failed_sieve_leaves_the_catalecticant_model(monkeypatch):
     def failing(*args):
         raise InternalError("injected")
 
-    monkeypatch.setattr(QuotientBasis, "sift", failing)
+    monkeypatch.setattr(engine, "_sieve", failing)
     with pytest.raises(InternalError, match="injected"):
         ideal.gens
     assert model._gens is None and model._blocks
@@ -1100,10 +1093,10 @@ def test_repr_reads_no_generators(monkeypatch):
               ideal_quotient(c, GradedIdeal(ring, c.gens + stream.forms([2]))), c]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("repr built a model or sifted")
+        raise AssertionError("repr built a model or sieved")
 
     monkeypatch.setattr(QuotientBasis, "__init__", refuse)
-    monkeypatch.setattr(QuotientBasis, "sift", refuse)
+    monkeypatch.setattr(engine, "_sieve", refuse)
     assert [repr(ideal) for ideal in ideals] == [
         "GradedIdeal(n=3, p=32003, recipe=['ann', 1, 4])",
         "GradedIdeal(n=3, p=32003, recipe=['quotient', ['general-forms', 3, 3, 3], None])",

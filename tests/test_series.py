@@ -31,6 +31,18 @@ def test_inexact_series_refuses_beyond_cap():
         s.total()
 
 
+def test_equality_reads_every_degree_both_sides_know():
+    # an exact series is known in every degree, so only an inexact one's
+    # cap ends the comparison: here both know degree 2, and read 6 and 0
+    inexact = HilbertSeries([1, 3, 6], exact=False)
+    assert inexact != HilbertSeries([1, 3]) and HilbertSeries([1, 3]) != inexact
+    assert inexact != [1, 3]
+    assert inexact == HilbertSeries([1, 3, 6, 10]) == inexact
+    # two inexact series agree when they agree up to the smaller cap
+    assert inexact == HilbertSeries([1, 3], exact=False)
+    assert HilbertSeries([1, 3], exact=False) == inexact
+
+
 def test_truncate_cuts_at_first_negative():
     out = froberg_truncate(HilbertSeries([1, 3, 2, -1, 5]))
     assert out.trimmed() == [1, 3, 2]
