@@ -19,10 +19,16 @@ on divided powers, x^a o y^b = y^(b - a) when b >= a and 0 otherwise.
 With it Macaulay duality holds in every characteristic (Iarrobino and
 Kanev, Power Sums, Gorenstein Algebras, and Determinantal Loci, LNM 1721,
 Appendix A).
+
+General forms come from FormStream, which rebuilds numpy's default
+generator in pure Python (O'Neill's PCG64 seeded by SeedSequence, and
+Lemire's bounded draw): its draws are numpy's bit for bit, yet no run
+imports numpy's random module.
 """
 
 import itertools
 import math
+import numbers
 import re
 
 import numpy as np
@@ -282,24 +288,75 @@ def contract_by_poly(g, j):
     return PrimeMatrix._trusted(a, ring.p)
 
 
-class FormStream:
-    """Deterministic stream of "general" forms.
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
-    The underlying generator is seeded from (seed, n, p), so the k-th form
-    drawn for given parameters is the same in every run.  Coefficients are
-    uniform over GF(p).
+
+def _hashmix(h, mult):
+    """SeedSequence's hash of a 32-bit word, with its running constant h."""
+    def hashmix(v):
+        nonlocal h
+        v, h = v ^ h, h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+    return hashmix
+
+
+def _pcg64_words(*entropy):
+    """The 32-bit words of PCG64(SeedSequence(entropy)) in the order that
+    numpy's next_uint32 hands them out: each 64-bit output, low half first."""
+    words = [x >> s & _M32 for x in entropy for s in range(0, max(x.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for i, j in itertools.permutations(range(4), 2):
+        pool[j] = mix(pool[j], hashmix(pool[i]))
+    for w, j in itertools.product(words[4:], range(4)):
+        pool[j] = mix(pool[j], hashmix(w))
+    out = map(_hashmix(0x8B51F9DD, 0x58F38DED), pool * 2)
+    w0, w1, w2, w3 = (lo | hi << 32 for lo, hi in zip(out, out))
+    mult, inc = 0x2360ED051FC65DA44385DF649FCCF645, (w2 << 64 | w3) << 1 | 1
+    state = ((inc + (w0 << 64 | w1)) * mult + inc) & _M128
+    while True:
+        state = (state * mult + inc) & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << 64 - rot) & _M64
+        yield x & _M32
+        yield x >> 32
+
+
+class FormStream:
+    """Deterministic stream of "general" forms, uniform over GF(p).
+
+    It draws what numpy's default_rng([seed, n, p]).integers(0, p,
+    dtype=np.int64) draws, call after call, in pure Python.  SeedSequence
+    hashes the 32-bit words of seed, n and p into a PCG64 state (O'Neill,
+    PCG: a family of simple fast space-efficient statistically good
+    algorithms for random number generation, 2014).  A 32-bit word u gives
+    the coefficient u * p >> 32 unless its leftover u * p mod 2^32 is below
+    t = 2^32 mod p, when it is redrawn (Lemire, Fast random integer
+    generation in an interval, ACM TOMACS 2019).  The words giving r have as
+    leftovers u * p - r * 2^32 all of [0, 2^32) in one class mod p, and
+    [t, 2^32), of length 2^32 - t divisible by p, holds (2^32 - t) / p of
+    them, so every r is equally likely.
     """
 
     def __init__(self, ring, seed=1):
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ParamError("a seed is an integer >= 0, not %r" % (seed,))
         self.ring = ring
         self.seed = seed
-        self._rng = np.random.default_rng([seed, ring.n, ring.p])
+        self._words = _pcg64_words(int(seed), ring.n, ring.p)
+        self._floor = (1 << 32) % ring.p
 
     def form(self, d):
         """A uniformly random form of degree d, redrawn if identically zero
         (relevant only over tiny fields)."""
         while True:
-            v = self._rng.integers(0, self.ring.p, size=self.ring.dim(d), dtype=np.int64)
+            v = self.coefficients(self.ring.dim(d))
             if v.any() or d < 0:
                 return HomogPoly(self.ring, d, v)
 
@@ -307,4 +364,6 @@ class FormStream:
         return [self.form(d) for d in degrees]
 
     def coefficients(self, count):
-        return self._rng.integers(0, self.ring.p, size=count, dtype=np.int64)
+        p, floor = self.ring.p, self._floor
+        draws = (m >> 32 for m in map(p.__mul__, self._words) if m & _M32 >= floor)
+        return np.fromiter(itertools.islice(draws, count), np.int64, count)

@@ -19,6 +19,9 @@ the degrees that QuotientBasis.socle_dim reads off the dual generators.
 differentiation_map is the apolarity that contraction replaced, a variable
 acting as a partial derivative; divided_powers(F) has under contraction the
 annihilator that F has under differentiation, in degrees below p.
+
+NumpyFormStream is the draw that FormStream once made through numpy's
+Generator, np.random.default_rng([seed, n, p]).integers(0, p).
 """
 
 import math
@@ -214,3 +217,20 @@ def divided_powers(F):
     w = [math.prod(map(math.factorial, m)) % F.ring.p
          for m in F.ring.exponents(F.degree).tolist()]
     return HomogPoly(F.ring, F.degree, F.coeffs * np.array(w, dtype=np.int64))
+
+
+class NumpyFormStream:
+    """FormStream's form and coefficients drawn by numpy's Generator."""
+
+    def __init__(self, ring, seed=1):
+        self.ring = ring
+        self._rng = np.random.default_rng([seed, ring.n, ring.p])
+
+    def form(self, d):
+        while True:
+            v = self.coefficients(self.ring.dim(d))
+            if v.any() or d < 0:
+                return HomogPoly(self.ring, d, v)
+
+    def coefficients(self, count):
+        return self._rng.integers(0, self.ring.p, size=count, dtype=np.int64)

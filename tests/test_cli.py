@@ -66,10 +66,15 @@ def test_froberg_command(capsys):
     assert out == "1 3 6 10 15 21 28 36 45 50 51 48 41 30 15"
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
     src = str(Path(relcomp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _src_env()
     done = subprocess.run([sys.executable, "-m", "relcomp", "froberg", "-n", "3", "-d", "3,3,3"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "1 3 6 7 6 3 1\n", "")
@@ -78,6 +83,21 @@ def test_python_dash_m_runs_the_cli():
                            "-n", "3", "-p", "4"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 2 and done.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "ann(perp-pick(1,8,ci(9)))", "-n", "4"],
+    ["reproduce", "ci333-level-s5"],
+    ["search", "remark-4.10", "--max-degree", "4", "--limit", "5"],
+    ["predict", "gor-even", "-t", "3"],
+    ["froberg", "-n", "3", "-d", "3,3,3"],
+], ids=lambda argv: argv[0])
+def test_no_command_imports_numpy_random(argv, tmp_path):
+    code = ("import sys\nfrom relcomp.cli import main\nstatus = main(sys.argv[1:])\n"
+            "print('numpy.random' in sys.modules)\nsys.exit(status)")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stdout.endswith("False\n"), done.stderr
 
 
 def test_froberg_json(capsys):

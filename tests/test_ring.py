@@ -15,7 +15,7 @@ from relcomp.ring import (
 )
 from relcomp.ring import _monomials
 
-from oracles import monomials_recursive
+from oracles import NumpyFormStream, monomials_recursive
 
 
 def test_basis_is_lex_descending():
@@ -126,6 +126,43 @@ def test_form_stream_never_returns_zero():
     stream = FormStream(ring, seed=1)
     for _ in range(20):
         assert not stream.form(1).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 32003, 1073741827, 2147483647]),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2 ** 70),
+    calls=st.lists(st.tuples(st.just("form"), st.integers(-1, 3))
+                   | st.tuples(st.just("coefficients"), st.integers(0, 9)), max_size=8),
+)
+# odd counts leave half a 64-bit output kept for the next call
+@example(p=2, n=3, seed=2 ** 70, calls=[("coefficients", 1), ("coefficients", 0),
+                                        ("form", -1), ("coefficients", 3), ("form", 2)])
+def test_form_stream_matches_the_numpy_oracle(p, n, seed, calls):
+    ring = RingCtx(n, p)
+    stream, oracle = FormStream(ring, seed), NumpyFormStream(ring, seed)
+    for call, arg in calls:
+        got, want = getattr(stream, call)(arg), getattr(oracle, call)(arg)
+        if call == "form":
+            assert got == want
+            got, want = got.coeffs, want.coeffs
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_form_stream_first_draws_are_pinned():
+    """The draws themselves, should numpy ever change what its Generator
+    draws: every pinned digest rests on them."""
+    assert FormStream(RingCtx(3, 32003), seed=1).coefficients(10).tolist() == [
+        233, 8706, 7508, 22034, 18518, 3123, 21240, 18459, 30940, 17382]
+    assert FormStream(RingCtx(4, 2), seed=1).coefficients(24).tolist() == [
+        1, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, None])
+def test_form_stream_refuses_a_seed_that_is_not_a_natural_number(seed):
+    with pytest.raises(ParamError):
+        FormStream(RingCtx(2, 5), seed)
 
 
 def test_variable_bounds():
