@@ -18,7 +18,6 @@ from .series import (
     linkage_hf,
 )
 from .betti import (
-    FreeModule,
     BettiTable,
     koszul_module,
     koszul_shape,

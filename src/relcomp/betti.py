@@ -1,10 +1,12 @@
 """
-Symbolic calculus of graded free modules and Betti tables, together with
-closed-form builders for the minimal free resolutions of several families
-of Artinian algebras.  One class holds every result: a BettiTable is the
-sparse map (i, j) -> beta_{i,j}, read column by column as the free modules
-F_i of a resolution shape, and the builders return the same class as the
-exact engine.  The builders cover:
+Betti tables, together with closed-form builders for the minimal free
+resolutions of several families of Artinian algebras.  One class holds
+every result: a BettiTable is the sparse map (i, j) -> beta_{i,j}, read
+column by column as the free modules F_i of a resolution shape, and the
+builders return the same class as the exact engine.  A free module, one
+column, is a Counter twist -> multiplicity standing for the direct sum of
+the R(-twist); the builders combine columns with the Counter operators
++, & and -=.  The builders cover:
 
 * compressed Gorenstein algebras of even socle degree (binomial formula);
 * Gorenstein algebras squeezed inside a complete intersection, all from
@@ -34,7 +36,6 @@ from .errors import InfeasibleError, ParamError, ParityError, RangeError, SplitE
 from .series import HilbertSeries, rational_series, rc_min_bound
 
 __all__ = [
-    "FreeModule",
     "BettiTable",
     "GhostReport",
     "koszul_module",
@@ -55,66 +56,18 @@ __all__ = [
 ]
 
 
-class FreeModule:
-    """A finite direct sum of twists R(-t), stored as multiset t -> mult."""
+def _dual(col, e):
+    """Dualize and twist a column: R(-t) becomes R(-(e - t))."""
+    return Counter({e - t: m for t, m in col.items()})
 
-    def __init__(self, twists=None):
-        self.twists = Counter()
-        if twists:
-            for t, m in dict(twists).items():
-                if m < 0:
-                    raise ParamError("negative multiplicity")
-                if m:
-                    self.twists[t] += m
 
-    def copy(self):
-        return FreeModule(self.twists)
-
-    def add(self, t, mult=1):
-        if mult < 0:
-            raise ParamError("negative multiplicity")
-        if mult:
-            self.twists[t] += mult
-        return self
-
-    def __add__(self, other):
-        out = self.copy()
-        for t, m in other.twists.items():
-            out.add(t, m)
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, FreeModule) and self.twists == other.twists
-
-    def is_zero(self):
-        return not self.twists
-
-    @property
-    def rank(self):
-        return sum(self.twists.values())
-
-    def items(self):
-        return sorted(self.twists.items())
-
-    def truncate_le(self, y):
-        """Keep only the summands R(-t) with t <= y."""
-        return FreeModule({t: m for t, m in self.twists.items() if t <= y})
-
-    def dual_twist(self, e):
-        """Dualize and twist: R(-t) becomes R(-(e - t))."""
-        return FreeModule({e - t: m for t, m in self.twists.items()})
-
-    def text(self):
-        if not self.twists:
-            return "0"
-        parts = []
-        for t, m in self.items():
-            base = "R" if t == 0 else "R(-%d)" % t
-            parts.append(base if m == 1 else base + "^%d" % m)
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return "FreeModule(%s)" % self.text()
+def _column_text(col):
+    """One column as a sum of twists, e.g. R(-3)^2 + R(-5); 0 if empty."""
+    parts = []
+    for t, m in sorted(col.items()):
+        base = "R" if t == 0 else "R(-%d)" % t
+        parts.append(base if m == 1 else base + "^%d" % m)
+    return " + ".join(parts) or "0"
 
 
 def _subset_sums(degrees, kmax):
@@ -136,7 +89,7 @@ def koszul_module(degrees, i):
     """
     if i < 0:
         raise RangeError("exterior power index %d out of range" % i)
-    return FreeModule(_subset_sums(degrees, i)[i])
+    return _subset_sums(degrees, i)[i]
 
 
 def koszul_shape(degrees):
@@ -169,18 +122,18 @@ class BettiTable:
 
     def __init__(self, beta):
         self.beta = {k: int(v) for k, v in dict(beta).items() if v}
-        if any(j < 0 or m < 0 for (_, j), m in self.beta.items()):
-            raise ParamError("a Betti table has no negative twist or multiplicity")
+        if any(i < 0 or j < 0 or m < 0 for (i, j), m in self.beta.items()):
+            raise ParamError("a Betti table has no negative index, "
+                             "negative twist or multiplicity")
 
     @classmethod
     def from_modules(cls, modules):
-        """The table of F_0, F_1, ... given as FreeModules or {twist: mult}
-        dicts, where F_0 must be R itself."""
-        modules = [m if isinstance(m, FreeModule) else FreeModule(m) for m in modules]
-        if not modules or modules[0] != FreeModule({0: 1}):
+        """The table of F_0, F_1, ... given as {twist: mult} mappings, such
+        as Counters, where F_0 must be R itself.  Zero entries are dropped."""
+        table = cls({(i, t): m for i, col in enumerate(modules) for t, m in col.items()})
+        if table.column(0) != {0: 1}:
             raise ParamError("a shape must start with R itself")
-        return cls({(i, t): mult for i, m in enumerate(modules)
-                    for t, mult in m.twists.items()})
+        return table
 
     def __getitem__(self, key):
         return self.beta.get(tuple(key), 0)
@@ -204,12 +157,12 @@ class BettiTable:
         return out
 
     def column(self, i):
-        """The free module F_i."""
-        return FreeModule({j: m for (k, j), m in self.beta.items() if k == i})
+        """The free module F_i as a Counter twist -> multiplicity."""
+        return Counter({j: m for (k, j), m in self.beta.items() if k == i})
 
     @property
     def modules(self):
-        """The free modules F_0, ..., F_{max_index()}."""
+        """The free modules F_0, ..., F_{max_index()}, as Counters."""
         return [self.column(i) for i in range(self.max_index() + 1)]
 
     def betti_table(self):
@@ -244,7 +197,7 @@ class BettiTable:
 
     def text(self):
         """The shape 0 -> F_L -> ... -> F_0, L = max_index()."""
-        return "0 -> " + " -> ".join(m.text() for m in reversed(self.modules))
+        return "0 -> " + " -> ".join(map(_column_text, reversed(self.modules)))
 
     def render(self):
         """Classic diagram: `total:` header, rows indexed by j - i, `-` for 0."""
@@ -286,13 +239,13 @@ def compressed_gor_even(n, t):
     """
     if n < 2 or t < 1:
         raise ParamError("need n >= 2 and t >= 1")
-    mods = [FreeModule({0: 1})]
+    mods = [{0: 1}]
     for i in range(1, n):
         a = math.comb(t + i - 1, i - 1) * math.comb(t + n, n - i) - math.comb(
             t - 1 + n - i, n - i
         ) * math.comb(t - 1 + n, i - 1)
-        mods.append(FreeModule({t + i: a}))
-    mods.append(FreeModule({2 * t + n: 1}))
+        mods.append({t + i: a})
+    mods.append({2 * t + n: 1})
     return BettiTable.from_modules(mods)
 
 
@@ -313,23 +266,24 @@ def _gorenstein_shape(n, s, degrees, truncate=True, ys=None):
     Returns (shape, alphas) with alphas[i] for i = 1..n//2.
     """
     t, p, e = s // 2, n // 2, s + n
-    ghosts = [FreeModule() for _ in range(p + 1)]
+    ghosts = [Counter() for _ in range(p + 1)]
     for k, y in (ys or {}).items():
         for i in (k - 1, k):
             if i <= p:
-                ghosts[i].add(t + k, y)
+                ghosts[i][t + k] += y
 
     def build(alphas):
-        mods = [FreeModule({0: 1})]
+        mods = [{0: 1}]
         for i in range(1, p + 1):
             low, high = koszul_module(degrees, i), koszul_module(degrees, n - i)
             if truncate:
-                low, high = low.truncate_le(t + i - 1), high.truncate_le(t + n - i - 1)
-            extra = ghosts[i] + FreeModule({t + i: alphas[i]})
+                low = Counter({tw: m for tw, m in low.items() if tw <= t + i - 1})
+                high = Counter({tw: m for tw, m in high.items() if tw <= t + n - i - 1})
+            extra = ghosts[i] + Counter({t + i: alphas[i]})
             if 2 * i == n and s % 2:
-                extra = extra + extra.dual_twist(e)
-            mods.append(low + high.dual_twist(e) + extra)
-        mods.extend(mods[n - i].dual_twist(e) for i in range(p + 1, n + 1))
+                extra += _dual(extra, e)
+            mods.append(low + _dual(high, e) + extra)
+        mods.extend(_dual(mods[n - i], e) for i in range(p + 1, n + 1))
         return BettiTable.from_modules(mods)
 
     target = _hf_shifted(rc_min_bound(degrees, n, s, 1), n, e)
@@ -347,6 +301,18 @@ def _gorenstein_shape(n, s, degrees, truncate=True, ys=None):
     return shape, alphas
 
 
+def _ci_degrees_upto(n, t, ci_degrees):
+    """The CI degrees at most t, sorted, for a Gorenstein shape of socle
+    degree 2t or 2t+1 in n variables; a form of higher degree imposes no
+    condition."""
+    if n < 2 or t < 1:
+        raise ParamError("need n >= 2 and t >= 1")
+    degrees = sorted(d for d in ci_degrees if d <= t)
+    if len(degrees) > n:
+        raise ParamError("more CI degrees than variables")
+    return degrees
+
+
 def rc_gor_even(n, t, ci_degrees=()):
     """Resolution shape of a Gorenstein algebra of socle degree 2t that is
     relatively compressed with respect to a general complete intersection.
@@ -356,12 +322,7 @@ def rc_gor_even(n, t, ci_degrees=()):
     identity (see _gorenstein_shape).  Degrees above t are dropped: such
     a form imposes no condition.
     """
-    if n < 2 or t < 1:
-        raise ParamError("need n >= 2 and t >= 1")
-    degrees = sorted(d for d in ci_degrees if d <= t)
-    if len(degrees) > n:
-        raise ParamError("more CI degrees than variables")
-    return _gorenstein_shape(n, 2 * t, degrees)[0]
+    return _gorenstein_shape(n, 2 * t, _ci_degrees_upto(n, t, ci_degrees))[0]
 
 
 @dataclass
@@ -394,16 +355,15 @@ class OddSocleShape:
         A parameter is shown on every twist it raises, also where the
         solved multiplicity is 0.
         """
-        base = self.evaluate()
+        base = self.evaluate().modules
         marks = {}
         for k in self.y_names:
-            for i, m in enumerate(self.evaluate({k: 1}).modules):
-                for tw in m.twists:
-                    if m.twists[tw] > base.modules[i].twists[tw]:
-                        marks.setdefault((i, tw), []).append("y%d" % k)
+            for i, col in enumerate(self.evaluate({k: 1}).modules):
+                for tw in col - base[i]:
+                    marks.setdefault((i, tw), []).append("y%d" % k)
         lines = []
         for i in range(self.n, -1, -1):
-            have = base.modules[i].twists
+            have = base[i]
             parts = []
             for tw in sorted(set(have) | {tw for j, tw in marks if j == i}):
                 label = "+".join(([str(have[tw])] if have[tw] else []) + marks.get((i, tw), []))
@@ -420,11 +380,7 @@ def rc_gor_odd_shape(n, t, ci_degrees=()):
     pairs of sizes y_2, y_3, ... in adjacent columns stay undetermined
     and are returned as free parameters of the OddSocleShape.
     """
-    if n < 2 or t < 1:
-        raise ParamError("need n >= 2 and t >= 1")
-    degrees = sorted(d for d in ci_degrees if d <= t)
-    if len(degrees) > n:
-        raise ParamError("more CI degrees than variables")
+    degrees = _ci_degrees_upto(n, t, ci_degrees)
     _, alphas = _gorenstein_shape(n, 2 * t + 1, degrees)
     return OddSocleShape(n=n, t=t, degrees=degrees, alphas=alphas,
                          y_names=list(range(2, (n + 3) // 2)))
@@ -453,10 +409,10 @@ def quadric_points_resolution(N):
     d4 = delta(delta(delta(hvec + [0, 0, 0, 0])))
     d4 += [0] * (i + 3 - len(d4))
     di1, di2 = d4[i + 1], d4[i + 2]
-    f1 = FreeModule({2: 1}).add(i, 2 * i + 1 - h).add(i + 1, max(0, -di1))
-    f2 = FreeModule({i + 1: max(0, di1), i + 2: max(0, di2)})
-    f3 = FreeModule({i + 2: max(0, -di2), i + 3: h})
-    shape = BettiTable.from_modules([FreeModule({0: 1}), f1, f2, f3])
+    f1 = Counter({2: 1}) + Counter({i: 2 * i + 1 - h, i + 1: max(0, -di1)})
+    f2 = {i + 1: max(0, di1), i + 2: max(0, di2)}
+    f3 = {i + 2: max(0, -di2), i + 3: h}
+    shape = BettiTable.from_modules([{0: 1}, f1, f2, f3])
     return HilbertSeries(hvec), shape
 
 
@@ -515,21 +471,16 @@ def mapping_cone_link(ci_degrees, res_i, target_hf=None):
     kparts = {}
     fparts = {}
     for i in range(1, n + 1):
-        kparts[i] = koszul_module(ci_degrees, n - i).dual_twist(d) if i < n else FreeModule()
-        fparts[i] = res_i.column(n - i + 1).dual_twist(d)
+        kparts[i] = _dual(koszul_module(ci_degrees, n - i), d) if i < n else Counter()
+        fparts[i] = _dual(res_i.column(n - i + 1), d)
     for j in range(1, n):
         # dualized K_j sits in position n-j, dualized F_j one step higher
         lo, hi = kparts[n - j], fparts[n - j + 1]
-        common = lo.twists & hi.twists
-        for t, m in common.items():
-            lo.twists[t] -= m
-            hi.twists[t] -= m
-        lo.twists = +lo.twists
-        hi.twists = +hi.twists
-    mods = [FreeModule({0: 1})]
-    for i in range(1, n + 1):
-        mods.append(kparts[i] + fparts[i])
-    shape = BettiTable.from_modules(mods)
+        common = lo & hi
+        lo -= common
+        hi -= common
+    shape = BettiTable.from_modules(
+        [{0: 1}] + [kparts[i] + fparts[i] for i in range(1, n + 1)])
     if target_hf is not None and not shape.check_euler(target_hf, n):
         raise SplitError("cone shape is inconsistent with the requested Hilbert function")
     return shape
@@ -635,10 +586,10 @@ def ghost_classify(table):
     """
     n = table.max_index()
     top = table.column(n)
-    socle_twist = next(iter(top.twists)) if top.rank == 1 else None
+    socle_twist = next(iter(top)) if sum(top.values()) == 1 else None
     gen_degrees = table.generator_degrees()
     kmax = min(len(gen_degrees), n + 1)
-    smax = max((j for _, j in table.beta), default=0)
+    smax = table.max_twist()
     counts = _subset_sums(gen_degrees, kmax)
 
     def koszul_at(i, j):

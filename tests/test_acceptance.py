@@ -187,7 +187,7 @@ def test_property_koszul_generating_identity():
         top = sum(degs)
         lhs = [0] * (top + 1)
         for i in range(len(degs) + 1):
-            for j, m in koszul_module(degs, i).twists.items():
+            for j, m in koszul_module(degs, i).items():
                 lhs[j] += (-1) ** i * m
         rhs = [0] * (top + 1)
         rhs[0] = 1
