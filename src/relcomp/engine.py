@@ -32,7 +32,8 @@ dual socle generator of the Gorenstein R/c, ideal_quotient), inverse-system
 annihilators, perpendicular spaces, and the relative-compression
 verdict.  A Koszul boundary rank is eliminated only when no theorem gives
 it: the end columns come from the dimensions and the socle of A, the strand
-below the initial degree of I is R's exact Koszul strand, a Gorenstein A
+below the initial degree of I is R's exact Koszul strand, the top degrees
+of a level A are copies of it through the inverse system, a Gorenstein A
 mirrors its high ranks onto low ones, and rank d_2 comes from the model.
 """
 
@@ -158,6 +159,8 @@ class _Annihilator(GradedIdeal):
 
         self.quotient = QuotientBasis(ring, blocks=blocks)
         self.quotient._socle_degrees = {f.degree for f in forms}
+        if len(forms) == 1:
+            self.quotient._form_degree = forms[0].degree
 
     gens = property(lambda self: self.quotient.gens)
 
@@ -216,6 +219,10 @@ class QuotientBasis:
     list of PrimeMatrix whose joint kernel in R_d is I_d, empty where
     A_d = 0) reads each degree off one rref of the stacked blocks B(d)
     instead (_read_dual, with its proof), and finds gens on its own degrees.
+    When the blocks are the catalecticants of one nonzero dual form of
+    degree s (_form_degree), B(s - d) has the rank of B(d), whose
+    catalecticant it transposes: below the middle the wide B(s - d) is read
+    first, and a degree with A_d = R_d is stored with no rref.
     """
 
     def __init__(self, ring, gens=(), blocks=None):
@@ -226,6 +233,9 @@ class QuotientBasis:
         # _socle[d]: dim soc(A)_d, read from A_d and A_{d+1}; _socle_degrees:
         # the D of socle_dim, None but in a model of an inverse system
         self._socle, self._socle_degrees = {}, None
+        # _form_degree: s of a model read off one nonzero dual form, else None;
+        # _ahead: the degrees s - d it read before storing them (_read_dual)
+        self._form_degree, self._ahead = None, {}
         self._std, self._table = [], []  # degrees 0, ..., len(_std) - 1 are built
 
     @property
@@ -378,15 +388,53 @@ class QuotientBasis:
           images: its normal form, unique on the standard basis.  So the
           first rank rows, in reversed order, are table(d).
 
-        So both arrays equal those of the sieve model of the generators."""
+        So both arrays equal those of the sieve model of the generators.
+
+        A model of one nonzero dual form F of degree s (_form_degree: R/Ann(F),
+        or a link whose g o Phi leave one nonzero form) eliminates no tall
+        B(d) of full column rank.  Proof:
+
+        * Contraction has no coefficients: with a of degree d and r of
+          degree s - d, contraction_map(F, s - d)[a, r] and
+          contraction_map(F, d)[r, a] are both the coefficient of F at a + r.
+          So Cat_{s-d}(F) is Cat_d(F) transposed, bit for bit at every p.  A
+          link's row cut keeps the row space (ideal_quotient), so
+          rank B(s - d) = rank B(d), that is dim A_{s-d} = dim A_d.
+        * For 2d < s, B(s - d) has at most dim R_d <= dim R_{s-d} rows: it is
+          the wide side, and it is read first, its arrays kept in _ahead
+          until degree s - d is stored.  Those arrays are its rref's, as
+          above, so every degree stores what it stores without the rule.
+        * Where rank B(s - d) = dim R_d, I_d = 0 and A_d = R_d.  Every column
+          of B(d) is then a pivot, and its rref is the identity above zero
+          rows.  So _std[d] is every monomial in descending degrevlex order,
+          lexsort(exponents(d).T), and table(d) is the permutation with
+          table(d)[i, _std[d][i]] = 1, the arrays of that rref; no rref and
+          no contraction_map of degree d is needed.  Otherwise B(d) is read.
+        """
+        ring, s = self.ring, self._form_degree
+        full = False
+        if s is not None and 2 * d < s:
+            self._ahead[s - d] = self._rref_blocks(s - d)
+            full = self._ahead[s - d][0].size == ring.dim(d)
+        if d in self._ahead:
+            std, table = self._ahead.pop(d)
+        elif full:
+            std = np.lexsort(ring.exponents(d).T)
+            table = PrimeMatrix._trusted(np.eye(std.size, dtype=np.int64)[std], ring.p)
+        else:
+            std, table = self._rref_blocks(d)
+        self._std.append(std)
+        self._table.append(table)
+
+    def _rref_blocks(self, d):
+        """(_std[d], table(d)) from the rref of B(d) (_read_dual)."""
         ring = self.ring
         asc = np.lexsort(ring.exponents(d).T)[::-1]
         stacked = stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + self._blocks(d))
         red, pivots = rref(PrimeMatrix._trusted(stacked.a[:, asc], ring.p))
         table = np.zeros((len(pivots), ring.dim(d)), dtype=np.int64)
         table[:, asc] = red.a[:len(pivots)][::-1]
-        self._std.append(asc[pivots][::-1])
-        self._table.append(PrimeMatrix._trusted(table, ring.p))
+        return asc[pivots][::-1], PrimeMatrix._trusted(table, ring.p)
 
 
 def _sieve(std, table, rows):
@@ -467,24 +515,50 @@ def betti_numbers(ideal):
       beta_{1,j} = dim (I/mI)_j counts the minimal generators of degree j
       (Eisenbud, The Geometry of Syzygies, ch. 1).  So for n <= 3 it
       eliminates no rank.  Any other model eliminates the relations on the
-      products M_j and sieves nothing.  The rule comes after the two below,
-      which cost nothing: the mirrored rank is one the table reads anyway.
+      products M_j and sieves nothing.  The rule comes after the three
+      below, which cost nothing: the mirrored rank is one the table reads
+      anyway.
     * When dim A_{e+1} = dim R_{e+1}, I vanishes in degrees <= e + 1 (R is
       a domain), so d_i(j) is the map of R's Koszul complex in degree j.
       That complex resolves R/(x_1, ..., x_n) and j >= 1, so it is exact
       in degree j: rank d_k(j) = dim K_{k-1,j} - rank d_{k-1}(j) with
       rank d_0 = 0, whence
       rank d_i(j) = sum_{k<i} (-1)^(i-1-k) C(n, k) dim R_{j-k}.
-    * When soc(A) is one-dimensional, it is A_s (s the top degree, as A_s
-      lies in the socle), and A is Gorenstein: every a != 0 in A_e has a
-      multiple in the socle, so the pairing A_e x A_{s-e} -> A_s is
-      perfect, and x_l is its own adjoint for it.  With the pairing
-      L^i x L^(n-i) -> L^n, the transpose of d_{n-i+1}(n+s-j), which maps
-      A_{s-1-e} (x) L^(n-i+1) to A_{s-e} (x) L^(n-i), is d_i(j) up to
-      the sign of each basis vector (Buchsbaum-Eisenbud, Amer. J. Math.
-      99, 1977), so rank d_i(j) = rank d_{n-i+1}(n+s-j).  It is read
-      from the mirror when 2e > s - 1, whose source degree s - 1 - e is
-      then lower, where the rules above mostly apply.
+    * When soc(A) lies in degree s alone (s the top degree, as A_s lies in
+      the socle), A is level of type t = dim A_s, and where
+      dim A_e = t dim R_{s-e} and dim A_{e+1} = t dim R_{s-e-1},
+      rank d_i(j) = t rank d_{n-i+1}(n+s-j) of R's strand (the dual
+      strand).  Proof: every a != 0 in A_e has a multiple in the socle,
+      which is A_s, so a -> (f -> f a) embeds A_e in Hom(R_{s-e}, A_s)
+      and its transpose, the R-module map R(s)^t -> A^v (A^v the graded
+      dual, the inverse system; Iarrobino and Kanev, LNM 1721), is onto
+      in degree -e, and bijective where dim A_e = t dim R_{s-e}.  Where it
+      is bijective in degrees -e-1 and -e, it carries each x_l between
+      them on R(s)^t to x_l on A^v.  With the pairing L^i x L^(n-i) ->
+      L^n, the transpose of d_i(j) is, up to the sign of each basis
+      vector, the Koszul map of A^v from A^v_{-e-1} (x) L^(n-i+1) to
+      A^v_{-e} (x) L^(n-i) (Buchsbaum and Eisenbud, Amer. J. Math. 99,
+      1977).  In these two degrees it is t copies of R's d_{n-i+1} in
+      internal degree n+s-j = n-i+s-e >= 1, where R's strand formula
+      holds.  The zero quotient (s = -1) has no socle and no rank to read.
+    * When soc(A) is one-dimensional, A is Gorenstein (t = 1): the
+      pairing A_e x A_{s-e} -> A_s is perfect, and x_l is its own adjoint
+      for it, so A^v = A(s) and the transpose of d_{n-i+1}(n+s-j), which
+      maps A_{s-1-e} (x) L^(n-i+1) to A_{s-e} (x) L^(n-i), is d_i(j) up
+      to the sign of each basis vector: rank d_i(j) = rank
+      d_{n-i+1}(n+s-j), the mirror, whose source degree is s - 1 - e.
+      Which side is read is a choice, not a further identity; the mirror
+      is read
+      - when 2e > s - 1, where its source degree is lower and the rules
+        above mostly apply;
+      - when 2e = s - 1 and 2i > n + 1: both sides have source degree e,
+        and the mirror has the smaller index n - i + 1;
+      - for n >= 4, always for d_{n-1}, whose mirror is a d_2 (the d_2
+        rule above), and for d_2 only when the mirror d_{n-1} is on R's
+        strand.  So neither mirrors onto the other, as the strand comes
+        first.  Every other mirror d_{i'}(j'), from d_i with
+        3 <= i <= n - 2 or d_2 with n = 3, has 2(j' - i') < s - 1, or
+        2(j' - i') = s - 1 and 2i' < n + 1, so it does not mirror back.
     """
     ring = ideal.ring
     n = ring.n
@@ -492,7 +566,13 @@ def betti_numbers(ideal):
     s = hf.top_degree()
     adim = [qb.dim(d) for d in range(s + 2)]
     soc = [qb.socle_dim(d) for d in range(s + 1)]
-    gorenstein = sum(soc) == 1
+    # the type t of a level A, socle in degree s only (1: Gorenstein); 0
+    # otherwise and for the zero quotient (s = -1, no socle)
+    level = soc[s] if s >= 0 and soc[s] == sum(soc) else 0
+
+    def strand(i, j):
+        """rank d_i(j) of R's Koszul complex, j >= 1."""
+        return sum((-1) ** (i - 1 - k) * math.comb(n, k) * ring.dim(j - k) for k in range(i))
 
     subsets = {i: list(itertools.combinations(range(n), i)) for i in range(n + 1)}
     sub_index = {i: {S: t for t, S in enumerate(subsets[i])} for i in range(n + 1)}
@@ -510,10 +590,16 @@ def betti_numbers(ideal):
         if i == n:
             return adim[e] - soc[e]
         if adim[e + 1] == ring.dim(e + 1):
-            return sum((-1) ** (i - 1 - k) * math.comb(n, k) * ring.dim(j - k)
-                       for k in range(i))
-        if gorenstein and 2 * e > s - 1:
-            return boundary_rank(n - i + 1, n + s - j)
+            return strand(i, j)
+        if level and adim[e] == level * ring.dim(s - e) and \
+                adim[e + 1] == level * ring.dim(s - e - 1):
+            return level * strand(n - i + 1, n + s - j)
+        if level == 1:
+            mirror = 2 * e > s - 1 or (2 * e == s - 1 and 2 * i > n + 1)
+            if n >= 4 and i in (2, n - 1):
+                mirror = i == n - 1 or adim[s - e] == ring.dim(s - e)
+            if mirror:
+                return boundary_rank(n - i + 1, n + s - j)
         if i == 2:
             return n * adim[e + 1] - qb.span_dim(j)
         src = subsets[i]

@@ -475,6 +475,29 @@ def test_compressed_gorenstein_resolve_sifts_nothing(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["hf"] == [1, 6, 21, 56, 126, 56, 21, 6, 1]
 
 
+def test_compressed_gorenstein_reads_no_degree_below_the_middle(monkeypatch, capsys):
+    # one form F of degree 8: the wide catalecticant B(8 - d), read first,
+    # has rank dim R_d for d < 4, so A_d = R_d is stored with no rref and
+    # no catalecticant of degree d; degree 9 reads the empty block, and the
+    # one other rref is perp_picks' perpendicular
+    read, gathered = [], []
+    true_rref, true_map = engine.rref, engine.contraction_map
+
+    def rref(m):
+        caller = sys._getframe(1)
+        read.append(caller.f_locals["d"] if caller.f_code is QuotientBasis._rref_blocks.__code__
+                    else caller.f_code.co_name)
+        return true_rref(m)
+
+    monkeypatch.setattr(engine, "rref", rref)
+    monkeypatch.setattr(engine, "contraction_map",
+                        lambda f, d: gathered.append(d) or true_map(f, d))
+    assert main(["resolve", "ann(perp-pick(1,8,ci(9)))", "-n", "6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["hf"] == [1, 6, 21, 56, 126, 56, 21, 6, 1]
+    assert read == ["perp_basis", 8, 7, 6, 5, 4, 9]
+    assert gathered == [8, 7, 6, 5, 4]
+
+
 def test_search_builds_one_complete_intersection_per_grid_point(monkeypatch, capsys,
                                                                 tmp_path):
     # per instance the adjoined ideal's model and the residual's, which the

@@ -3,6 +3,7 @@
 import functools
 import gc
 import itertools
+import math
 import sys
 import tracemalloc
 from collections import Counter
@@ -733,27 +734,31 @@ def oracle_betti_numbers(ideal):
 
 
 # per n, the largest form degree that keeps the oracle's eliminations small
-ORACLE_TOP = {2: 9, 3: 7, 4: 5, 5: 4}
+ORACLE_TOP = {2: 9, 3: 7, 4: 5, 5: 4, 6: 4}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_betti_numbers_match_all_ranks_oracle(data):
-    n = data.draw(st.integers(2, 5), label="n")
+    n = data.draw(st.integers(2, 6), label="n")
     p = data.draw(st.sampled_from([2, 3, 32003]), label="p")
     seed = data.draw(st.integers(1, 1000), label="seed")
     ring = RingCtx(n, p)
     stream = FormStream(ring, seed)
     top = ORACLE_TOP[n]
-    kind = data.draw(st.sampled_from(["form", "sparse form", "forms", "general forms"]),
-                     label="kind")
+    kind = data.draw(st.sampled_from(["form", "odd form", "sparse form", "forms",
+                                      "general forms"]), label="kind")
     if kind == "general forms":
         degrees = data.draw(st.lists(st.integers(1, 3 if n < 5 else 2),
                                      min_size=n, max_size=n + 2), label="degrees")
         ideal = general_forms(degrees, stream)
     else:
         s = data.draw(st.integers(1, top), label="s")
-        if kind == "form":
+        if kind == "odd form":
+            # Gorenstein of odd socle degree: the middle ranks d_i(j) with
+            # 2(j - i) = s - 1 mirror onto themselves, read from the smaller i
+            s = data.draw(st.sampled_from(range(1, top + 2, 2)), label="odd s")
+        if kind in ("form", "odd form"):
             # Gorenstein, and compressed where the form is general
             forms = [stream.form(s)]
         elif kind == "sparse form":
@@ -776,6 +781,37 @@ def test_betti_numbers_match_all_ranks_oracle(data):
     # ghost_classify reads n and the socle twist off these two facts
     assert table.max_index() == n
     assert table.column(n) == Counter(d + n for d in socle(ideal).degrees)
+
+
+@pytest.mark.parametrize("n, degrees, middle", [
+    (5, (4, 4), [("span_dim", 4), (3, 5), (4, 6)]),  # level of type 2, s = 4
+    (4, (5,), [("span_dim", 4)]),  # Gorenstein, odd s
+    (4, (7,), [("span_dim", 5)]),
+    (5, (5,), [("span_dim", 4), (3, 5)]),
+    (5, (7,), [("span_dim", 5), (3, 6)]),
+])
+def test_betti_numbers_eliminate_only_the_middle_ranks(monkeypatch, n, degrees, middle):
+    # compressed level and odd-socle Gorenstein annihilators: every rank with
+    # source or target outside the middle degrees comes from R's strand, the
+    # dual strand or the mirror, so only the middle ranks d_i(j) named here
+    # and dim (R/J)_j of rank d_2(j) are eliminated
+    ring = RingCtx(n, 32003)
+    ideal = annihilator_ideal(FormStream(ring, 1).forms(degrees))
+    socle(ideal)
+    calls = []
+    true_rank = engine.rank
+
+    def rank(m):
+        frame = sys._getframe(1)
+        calls.append(("span_dim", frame.f_locals["d"]) if frame.f_code.co_name == "span_dim"
+                     else (frame.f_locals["i"], frame.f_locals["j"]))
+        return true_rank(m)
+
+    monkeypatch.setattr(engine, "rank", rank)
+    table = betti_numbers(ideal)
+    assert calls == middle
+    monkeypatch.undo()
+    assert table == oracle_betti_numbers(ideal)
 
 
 def test_betti_numbers_unit_ideal_and_one_variable():
@@ -1025,6 +1061,59 @@ def test_link_model_matches_the_sifted_model(data):
     # R/c, against a fresh model of the generators its sieve keeps
     ring, c, linked = draw_link(data)
     assert_read_model_matches_the_sifted_model(ideal_quotient(c, linked))
+
+
+def draw_one_form_model(data):
+    """An ideal whose model reads one nonzero dual form, and its degree s:
+    R/Ann(F) for F general, a monomial or a sum of one to three divided
+    powers of linear forms (the last two far from compressed), n 1..6,
+    s 0..10 and four primes; or a link c : (c, f) whose one f o Phi is
+    nonzero."""
+    if data.draw(st.booleans(), label="link"):
+        ring, c, linked = draw_link(data)
+        ideal = ideal_quotient(c, GradedIdeal(ring, linked.gens[:ring.n + 1]))
+        assume(ideal.quotient._form_degree is not None)
+        return ideal, ideal.quotient._form_degree
+    n = data.draw(st.integers(1, 6), label="n")
+    ring = RingCtx(n, data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p"))
+    stream = FormStream(ring, data.draw(st.integers(1, 1000), label="seed"))
+    s = data.draw(st.integers(0, 10), label="s")
+    kind = data.draw(st.sampled_from(["general", "monomial", "powers"]), label="kind")
+    expo = ring.exponents(s)
+    if kind == "general":
+        f = stream.form(s)
+    elif kind == "monomial":
+        f = ring.monomial(expo[data.draw(st.integers(0, ring.dim(s) - 1), label="monomial")])
+    else:
+        # under contraction L^[s] = sum_a c^a y^[a], c the coefficients of L
+        coeffs = [0] * ring.dim(s)
+        for _ in range(data.draw(st.integers(1, 3), label="powers")):
+            c = stream.form(1).coeffs.tolist()
+            for m, a in enumerate(expo.tolist()):
+                coeffs[m] += math.prod(pow(ci, ai, ring.p) for ci, ai in zip(c, a))
+        f = HomogPoly(ring, s, np.array([v % ring.p for v in coeffs], dtype=np.int64))
+    assume(not f.is_zero())
+    return annihilator_ideal([f]), s
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_form_model_matches_a_model_read_in_every_degree(data):
+    # a model of one dual form of degree s reads the wide B(s - d) first for
+    # 2d < s and stores A_d = R_d with no rref where that rank is dim R_d:
+    # against a model of the same blocks without that knowledge, which
+    # reads every degree off its own rref
+    ideal, s = draw_one_form_model(data)
+    ring, model = ideal.ring, ideal.quotient
+    read = []
+    model._rref_blocks = lambda d: read.append(d) or QuotientBasis._rref_blocks(model, d)
+    oracle = QuotientBasis(ring, blocks=model._blocks)
+    for d in range(s + 2):
+        assert model.table(d) == oracle.table(d), d
+        assert np.array_equal(model._std[d], oracle._std[d]), d
+    assert model._ahead == {}
+    full = {d for d in range(s + 2) if 2 * d < s and model.dim(d) == ring.dim(d)}
+    assert sorted(read) == sorted(set(range(s + 2)) - full)
 
 
 def test_annihilator_generators_are_sifted_once(monkeypatch):
