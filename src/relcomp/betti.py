@@ -8,19 +8,19 @@ column, is a Counter twist -> multiplicity standing for the direct sum of
 the R(-twist); the builders combine columns with the Counter operators
 +, & and -=.  The builders cover:
 
-* compressed Gorenstein algebras of even socle degree (binomial formula);
 * Gorenstein algebras squeezed inside a complete intersection, all from
   one self-dual layout (``_gorenstein_shape``): in each column up to n/2,
   exterior-power summands, the dual of the partner column's, and one
   multiplicity solved from the Euler characteristic identity; the upper
-  columns are the duals of the lower ones.  It gives the exact shape for
-  even socle degree (``rc_gor_even``), the odd socle degree family
-  whose ghost pairs y_2, y_3, ... stay free parameters that only a
-  concrete computation can pin down (``rc_gor_odd_shape``), and, with
+  columns are the duals of the lower ones.  Five builders read it: the
+  exact shape for even socle degree (``rc_gor_even``), also with no
+  complete intersection (``compressed_gor_even``); the odd socle degree
+  family whose ghost pairs y_2, y_3, ... stay free parameters that only a
+  concrete computation can pin down (``rc_gor_odd_shape``); and, with
   untruncated summands, the conditional odd-socle shape over a
-  codimension <= n-2 complete intersection (``mrc_resolution``);
-* general points on a smooth quadric surface and the odd-socle Gorenstein
-  algebras squeezed by a quadric that are derived from them;
+  codimension <= n-2 complete intersection (``mrc_resolution``), also
+  over one quadric in four variables (``rc_gor_odd_quadric``);
+* general points on a smooth quadric surface;
 * almost complete intersections with even degree sum, via a dualized
   mapping cone over the even-socle Gorenstein shape.
 
@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, ParamError, ParityError, RangeError, SplitError
-from .series import HilbertSeries, rational_series, rc_min_bound
+from .series import HilbertSeries, froberg_prediction, rc_min_bound
 
 __all__ = [
     "BettiTable",
@@ -231,24 +231,6 @@ class BettiTable:
 # closed-form builders
 
 
-def compressed_gor_even(n, t):
-    """Resolution of a compressed Gorenstein algebra with socle degree 2t.
-
-    Multiplicities come from a closed binomial formula; the shape is
-    almost pure: R(-t-i)^{alpha_i} in homological position i.
-    """
-    if n < 2 or t < 1:
-        raise ParamError("need n >= 2 and t >= 1")
-    mods = [{0: 1}]
-    for i in range(1, n):
-        a = math.comb(t + i - 1, i - 1) * math.comb(t + n, n - i) - math.comb(
-            t - 1 + n - i, n - i
-        ) * math.comb(t - 1 + n, i - 1)
-        mods.append({t + i: a})
-    mods.append({2 * t + n: 1})
-    return BettiTable.from_modules(mods)
-
-
 def _gorenstein_shape(n, s, degrees, truncate=True, ys=None):
     """The self-dual Gorenstein layout of socle degree s over the complete
     intersection degrees, and its solved multiplicities.
@@ -323,6 +305,13 @@ def rc_gor_even(n, t, ci_degrees=()):
     a form imposes no condition.
     """
     return _gorenstein_shape(n, 2 * t, _ci_degrees_upto(n, t, ci_degrees))[0]
+
+
+def compressed_gor_even(n, t):
+    """Resolution of a compressed Gorenstein algebra with socle degree 2t:
+    rc_gor_even with no complete intersection, so the shape is almost pure,
+    R(-t-i)^{alpha_i} in homological position 0 < i < n."""
+    return rc_gor_even(n, t)
 
 
 @dataclass
@@ -418,19 +407,11 @@ def quadric_points_resolution(N):
 
 def rc_gor_odd_quadric(t):
     """Resolution of a Gorenstein algebra in 4 variables with socle degree
-    2t+1, relatively compressed with respect to a general quadric."""
+    2t+1, relatively compressed with respect to a general quadric: the
+    conditional shape mrc_resolution(4, (2,), t), defined for t >= 2."""
     if t < 2:
         raise ParamError("need t >= 2")
-    a = 2 * t + 3
-    return BettiTable.from_modules(
-        [
-            {0: 1},
-            {t + 1: a, 2: 1},
-            {t + 2: a, t + 3: a},
-            {t + 4: a, 2 * t + 3: 1},
-            {2 * t + 5: 1},
-        ]
-    )
+    return mrc_resolution(4, (2,), t)
 
 
 def mrc_resolution(n, ci_degrees, t):
@@ -495,6 +476,13 @@ def aci_resolution(n, degrees):
     is even: the dualized mapping cone of the Koszul shape of the first n
     degrees over the even-socle Gorenstein shape it is linked to.
 
+    The cone is checked against the positive part of h[l] - h[l - d_last],
+    h the Hilbert function of the first n (Stanley, Adv. Math. 28, 1978).
+    h, a product of the symmetric unimodal 1 + z + ... + z^{d_i - 1}, is
+    symmetric and unimodal, so that difference is >= 0 up to (e + d_last)/2
+    and <= 0 after it: its positive part is its truncation at the first
+    negative coefficient, the Froberg series froberg_prediction(degrees, n).
+
     Returns (aci shape, intermediate Gorenstein shape).
     """
     degrees = list(degrees)
@@ -505,26 +493,17 @@ def aci_resolution(n, degrees):
     if degrees[0] < 2:
         raise ParamError("degrees must be at least 2")
     d_head, d_last = degrees[:n], degrees[n]
-    if d_last > sum(d_head) - n:
+    e = sum(d_head) - n
+    if d_last > e:
         raise ParamError("last degree too large: the ideal would be a complete intersection")
+    if d_last == e:
+        raise ParamError("last degree equals the socle degree of the first n: "
+                         "the linked Gorenstein algebra would have socle degree 0")
     if (sum(degrees) - n) % 2:
         raise ParityError("degree sum minus n must be even")
-    c = sum(d_head) - d_last - n
-    t = c // 2
-    small = [d for d in d_head if d <= t]
-    gor = rc_gor_even(n, t, small)
-    shape = mapping_cone_link(d_head, gor, target_hf=_aci_hf(d_head, d_last, n))
+    gor = rc_gor_even(n, (e - d_last) // 2, d_head)
+    shape = mapping_cone_link(d_head, gor, target_hf=froberg_prediction(degrees, n))
     return shape, gor
-
-
-def _aci_hf(d_head, d_last, n):
-    """Hilbert function of the residual of an even-sum almost complete
-    intersection: pointwise positive part of the complete intersection HF
-    minus its shift by the last degree."""
-    h = rational_series(d_head, n)
-    top = sum(d_head) - n
-    coeffs = [max(h[el] - h[el - d_last], 0) for el in range(top + 1)]
-    return HilbertSeries(coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ from .errors import (
     ParamError,
 )
 from .gfp import PrimeMatrix, _kernel, kernel_basis, rank, rref, stack
-from .ring import HomogPoly, contract_by_poly, contraction_map
+from .ring import HomogPoly, contraction_map
 from .series import HilbertSeries, rc_min_bound, rc_upper_bound_liaison
 
 __all__ = [
@@ -427,11 +427,12 @@ class QuotientBasis:
         self._table.append(table)
 
     def _rref_blocks(self, d):
-        """(_std[d], table(d)) from the rref of B(d) (_read_dual)."""
-        ring = self.ring
+        """(_std[d], table(d)) from the rref of B(d) (_read_dual), empty if A_d = 0."""
+        ring, blocks = self.ring, self._blocks(d)
+        if not blocks:
+            return np.zeros(0, np.int64), PrimeMatrix.zeros(0, ring.dim(d), ring.p)
         asc = np.lexsort(ring.exponents(d).T)[::-1]
-        stacked = stack([PrimeMatrix.zeros(0, ring.dim(d), ring.p)] + self._blocks(d))
-        red, pivots = rref(PrimeMatrix._trusted(stacked.a[:, asc], ring.p))
+        red, pivots = rref(PrimeMatrix._trusted(stack(blocks).a[:, asc], ring.p))
         table = np.zeros((len(pivots), ring.dim(d)), dtype=np.int64)
         table[:, asc] = red.a[:len(pivots)][::-1]
         return asc[pivots][::-1], PrimeMatrix._trusted(table, ring.p)
@@ -747,9 +748,16 @@ def perp_basis(c, j):
     degree <= j: F is perpendicular exactly when each contracts F to 0.
     So F[free] (free: the other columns) is arbitrary and F[pivots] =
     -red[:len(pivots), free] . F[free]; coefficients put at free give
-    coefficients @ kernel_basis of the maps, entry for entry."""
-    blocks = [contract_by_poly(g, j) for g in c.gens if g.degree <= j]
-    return rref(stack([PrimeMatrix.zeros(0, c.ring.dim(j), c.ring.p)] + blocks))
+    coefficients @ kernel_basis of the maps, entry for entry.  Contraction
+    has no coefficients, so R_j and the dual forms of degree j pair by the
+    dot product: (g o F)_r = sum_a g_a F_{r+a} = (M^T F)_r for M =
+    mult_map(g, j - deg g), and the maps are c's Macaulay matrix in degree
+    j transposed (test_contraction_adjunction checks the identity)."""
+    ring = c.ring
+    blocks = [ring.mult_map(g, j - g.degree).a.T for g in c.gens if g.degree <= j]
+    if not blocks:
+        return PrimeMatrix.zeros(0, ring.dim(j), ring.p), []
+    return rref(PrimeMatrix._trusted(np.vstack(blocks), ring.p))
 
 
 MEETS_CONJECTURED_BOUND = "MEETS_CONJECTURED_BOUND"

@@ -41,7 +41,6 @@ __all__ = [
     "HomogPoly",
     "FormStream",
     "contraction_map",
-    "contract_by_poly",
 ]
 
 
@@ -276,16 +275,6 @@ def contraction_map(F, d):
     if d > s:
         raise DegreeError("cannot contract a degree %d form by degree %d" % (s, d))
     return PrimeMatrix._trusted(F.coeffs[ring.sum_index(s - d, d)], ring.p)
-
-
-def contract_by_poly(g, j):
-    """Matrix of F -> g o F from dual degree j to dual degree j - deg g:
-    column r + a holds the coefficient of g at a in row r."""
-    ring, e = g.ring, g.degree
-    a = np.zeros((ring.dim(j - e), ring.dim(j)), dtype=np.int64)
-    rows = np.arange(ring.dim(j - e))[:, None]
-    a[rows, ring.sum_index(j - e, e)] = g.coeffs
-    return PrimeMatrix._trusted(a, ring.p)
 
 
 _M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

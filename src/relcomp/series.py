@@ -136,8 +136,6 @@ def rational_series(num_degrees, n, cap=None):
 
 def froberg_prediction(degrees, n, cap=None):
     """Predicted Hilbert series of a quotient by general forms."""
-    if cap is None and len(degrees) < n:
-        raise ParamError("a cap is required when fewer than n degrees are given")
     return froberg_truncate(rational_series(degrees, n, cap))
 
 

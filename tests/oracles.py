@@ -11,7 +11,8 @@ kernel of membership blocks (kernel_rows), sifted degree by degree through
 the QuotientBasis constructor.
 
 perp_picks_by_basis is the draw that perp_picks once made: each pick is a
-random combination of the rows of kernel_basis of the contraction maps.
+random combination of the rows of kernel_basis of the contraction maps,
+scattered from the monomial sums rather than read off mult_map.
 
 socle_dim_by_rank eliminates the socle in every degree, the reference for
 the degrees that QuotientBasis.socle_dim reads off the dual generators.
@@ -33,7 +34,7 @@ from relcomp.betti import BettiTable
 from relcomp.engine import QuotientBasis, hilbert_function
 from relcomp.errors import InternalError, NotArtinianError, ParamError
 from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref, stack
-from relcomp.ring import HomogPoly, contract_by_poly
+from relcomp.ring import HomogPoly
 
 
 def betti_numbers_syzygy(ideal):
@@ -168,11 +169,20 @@ def kernel_rows(ring, d, blocks):
     return ker, ring.dim(d) - ker.rows
 
 
+def contraction_by(g, j):
+    """Matrix of F -> g o F from dual degree j to dual degree j - deg g:
+    column r + a holds the coefficient of g at a in row r."""
+    ring, e = g.ring, g.degree
+    a = np.zeros((ring.dim(j - e), ring.dim(j)), dtype=np.int64)
+    a[np.arange(ring.dim(j - e))[:, None], ring.sum_index(j - e, e)] = g.coeffs
+    return PrimeMatrix._trusted(a, ring.p)
+
+
 def perp_picks_by_basis(c, j, count, stream):
     """count nonzero random elements of the perpendicular of c_j, each the
     product of stream.coefficients(dim) with the kernel basis of the
     stacked contraction maps; zero draws are drawn again."""
-    blocks = [contract_by_poly(g, j) for g in c.gens if g.degree <= j]
+    blocks = [contraction_by(g, j) for g in c.gens if g.degree <= j]
     basis = kernel_basis(stack([PrimeMatrix.zeros(0, c.ring.dim(j), c.ring.p)] + blocks))
     if not basis.rows:
         raise ParamError("the perpendicular space is zero in degree %d" % j)

@@ -2,6 +2,8 @@
 and the repeated-twist classifier.  A free module, one column of a table,
 is a Counter twist -> multiplicity."""
 
+import itertools
+import math
 import re
 from collections import Counter
 
@@ -25,7 +27,7 @@ from relcomp.betti import (
     rc_gor_odd_quadric,
     rc_gor_odd_shape,
 )
-from relcomp.series import rational_series, rc_min_bound
+from relcomp.series import froberg_prediction, rational_series, rc_min_bound
 
 
 def shape(*mods):
@@ -166,14 +168,50 @@ def test_rc_gor_odd_shape_known_case():
 
 
 def test_rc_gor_even_without_ci_is_compressed():
-    for n in range(2, 8):
-        for t in range(1, 9):
-            assert rc_gor_even(n, t, ()) == compressed_gor_even(n, t)
+    for n in range(2, 13):
+        for t in range(1, 13):
+            want = oracle_compressed_gor_even(n, t)
+            assert rc_gor_even(n, t, ()) == want
+            assert compressed_gor_even(n, t) == want
 
 
 # --- reference builders -----------------------------------------------------
 # Three separate builders, each with its own Euler solve; the library
 # builds all three from one self-dual layout, which must agree with them.
+# The closed forms after them are independent oracles for the builders
+# that read the layout with no complete intersection or with one quadric.
+
+
+def oracle_compressed_gor_even(n, t):
+    """The compressed Gorenstein shape of socle degree 2t from the closed
+    binomial formula for its multiplicities."""
+    mods = [{0: 1}]
+    for i in range(1, n):
+        a = math.comb(t + i - 1, i - 1) * math.comb(t + n, n - i) - math.comb(
+            t - 1 + n - i, n - i
+        ) * math.comb(t - 1 + n, i - 1)
+        mods.append({t + i: a})
+    mods.append({2 * t + n: 1})
+    return BettiTable.from_modules(mods)
+
+
+def oracle_rc_gor_odd_quadric(t):
+    """The literal shape of socle degree 2t+1 over a quadric in 4 variables."""
+    a = 2 * t + 3
+    return BettiTable.from_modules([
+        {0: 1},
+        {t + 1: a, 2: 1},
+        {t + 2: a, t + 3: a},
+        {t + 4: a, 2 * t + 3: 1},
+        {2 * t + 5: 1},
+    ])
+
+
+def oracle_aci_hf(d_head, d_last, n):
+    """The pointwise positive part of the Hilbert function of the complete
+    intersection d_head minus its shift by d_last."""
+    h = rational_series(d_head, n)
+    return [max(h[el] - h[el - d_last], 0) for el in range(sum(d_head) - n + 1)]
 
 
 def oracle_rc_gor_even(n, t, ci_degrees=()):
@@ -409,8 +447,12 @@ def test_rc_gor_odd_quadric_display_and_euler():
 
 
 def test_mrc_reduces_to_quadric_case():
-    for t in (2, 5):
-        assert mrc_resolution(4, (2,), t) == rc_gor_odd_quadric(t)
+    for t in range(2, 31):
+        want = oracle_rc_gor_odd_quadric(t)
+        assert mrc_resolution(4, (2,), t) == want
+        assert rc_gor_odd_quadric(t) == want
+    with pytest.raises(ParamError, match="need t >= 2"):
+        rc_gor_odd_quadric(1)
 
 
 def test_aci_known_display():
@@ -430,6 +472,25 @@ def test_aci_rejects_odd_parity():
 def test_aci_rejects_complete_intersection_range():
     with pytest.raises(ParamError):
         aci_resolution(3, [2, 2, 2, 9])
+    # the last degree is the socle degree of the others: the linked
+    # Gorenstein algebra is the field, refused in the ACI's own terms
+    for n, degrees in [(2, [2, 2, 2]), (3, [2, 2, 2, 3])]:
+        with pytest.raises(ParamError, match="socle degree of the first n"):
+            aci_resolution(n, degrees)
+
+
+def test_aci_guard_is_the_positive_part_of_the_shifted_series():
+    # every sorted input with n 2-6, degrees 2-8 and the last degree at most
+    # the socle degree of the others, parity or not
+    count = 0
+    for n in range(2, 7):
+        for degrees in itertools.combinations_with_replacement(range(2, 9), n + 1):
+            d_head, d_last = list(degrees[:n]), degrees[n]
+            if d_last > sum(d_head) - n:
+                continue
+            count += 1
+            assert froberg_prediction(degrees, n) == oracle_aci_hf(d_head, d_last, n)
+    assert count == 3313
 
 
 # --- mapping cones ---------------------------------------------------------

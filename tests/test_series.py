@@ -61,6 +61,12 @@ def test_rational_series_needs_cap_when_short():
     s = rational_series([2], 3, cap=3)
     assert list(s) == [1, 3, 5, 7]
     assert not s.exact
+    # froberg_prediction takes rational_series' guards: a degree 0 is named
+    # as such, not as a missing cap
+    with pytest.raises(ParamError, match="a cap is required"):
+        froberg_prediction([2], 3)
+    with pytest.raises(ParamError, match="factor degrees must be >= 1"):
+        froberg_prediction([0], 3)
 
 
 def test_a_capped_series_is_exact_only_past_its_degree():
