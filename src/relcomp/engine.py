@@ -35,6 +35,28 @@ it: the end columns come from the dimensions and the socle of A, the strand
 below the initial degree of I is R's exact Koszul strand, the top degrees
 of a level A are copies of it through the inverse system, a Gorenstein A
 mirrors its high ranks onto low ones, and rank d_2 comes from the model.
+
+The largest-variable rule keeps every elimination of a Koszul map small.
+For a standard monomial b let top(b) be the largest k with x_k dividing b
+(0 for b = 1).  In the Koszul complex of A on the variables (betti_numbers'
+sign convention), with the basis _std[e] of A_e, every column b (x) e_S of
+d_i, i >= 1, lies in the span of the columns b' (x) e_T with
+top(b') <= max T, so those alone span the image of d_i.  Proof (the
+chain criterion of Gebauer and Moeller, J. Symb. Comp. 6, 1988, with the
+max-index bookkeeping of Eliahou and Kervaire, J. Algebra 129, 1990): let
+l = top(b) > max S and b = x_l c.  A divisor of a standard monomial is
+standard, so c is in _std[e - 1], and table is the identity on _std, so
+x_l c is the basis vector b of A_e.  In d_{i+1}(c (x) e_{S u l}) the term
+that removes l, last in S u l, is +-b (x) e_S, and every other term is
+x_k c (x) e_T, a combination of columns whose T has max T = l > max S.  As
+the variables commute on A, d_i d_{i+1} = 0, so d_i(b (x) e_S) is a
+combination of those columns, and downward induction on max S (every column
+with max S = n is kept) ends the proof.  Descending degrevlex order lists the
+monomials in x_1, ..., x_k before any other, so the b kept for a set S are a
+prefix of _std[e] (QuotientBasis.top_prefix).  The rule prunes the
+commutation relations of _span and span_dim, the images of the d_2(b (x) e_jk),
+and the columns of every Koszul matrix betti_numbers eliminates
+(_koszul_matrix); each rref, rank and kernel stays the one of the full matrix.
 """
 
 import functools
@@ -146,11 +168,29 @@ class _Annihilator(GradedIdeal):
     with the rows of F cut to rows[deg F - d] when rows is given.  R/I
     vanishes from degree max deg F_i + 1 on (0: the unit ideal), its socle
     lies in the degrees deg F_i (QuotientBasis.socle_dim), and gens are
-    found when read."""
+    found when read.
+
+    Only a maximal independent subset of the forms of each degree enters,
+    the first pivots of their coefficient vectors in list order.  Proof:
+    contraction_map(F, d) is linear in F, so a form F = sum c_k F_k of kept
+    F_k of its degree has the catalecticant sum c_k Cat_d(F_k), and cutting
+    the same rows keeps that identity; its rows lie in the span of the kept
+    rows, and B(d) keeps its row space, its kernel I_d and its rref.  The
+    degrees of the forms, so the socle rule, do not change.  Forms of one
+    degree that span one line, as the g o Phi of a link can, leave one form,
+    and a model of one form is covered by _read_dual."""
 
     def __init__(self, ring, forms, recipe, rows=None):
         self.ring, self.recipe = ring, recipe
         self._top = max((f.degree for f in forms), default=-1) + 1
+        kept = []
+        for s in sorted({f.degree for f in forms}):
+            same = [f for f in forms if f.degree == s]
+            if len(same) > 1:
+                coeffs = PrimeMatrix._trusted(np.array([f.coeffs for f in same]).T, ring.p)
+                same = [same[c] for c in rref(coeffs)[1]]
+            kept += same
+        forms = kept
 
         def blocks(d):
             return [contraction_map(f, d) if rows is None
@@ -209,6 +249,11 @@ class QuotientBasis:
       an order ideal, M_d is their upper shadow, and table(d) is the
       identity on them.  A commutation row whose products x_k b and x_j b
       are both standard vanishes; zero rows are dropped before eliminating.
+    * The relation of b and j < k is mu applied to d_2(b (x) e_jk) of the
+      Koszul complex of A, so by the largest-variable rule (module
+      docstring) those with top(b) > k are combinations of the others: only
+      the rows with top(b) <= k are built, and mu(relations), its echelon
+      form and its kernel basis are those of every row.
     * Every reader (hilbert_function, betti_numbers, socle_dim, the
       sieve and _require_contained) reads only dimensions, ranks and
       kernels, which do not depend on the basis.
@@ -320,6 +365,13 @@ class QuotientBasis:
         t = self.table(f.degree)
         return t.matmul(PrimeMatrix(f.coeffs.reshape(-1, 1), self.ring.p)).a.ravel()
 
+    def top_prefix(self, d):
+        """keep[k], k = 0..n-1: the first keep[k] monomials of _std[d] are
+        those with top <= k + 1, which the largest-variable rule keeps for a
+        set S with max S = k + 1 (module docstring)."""
+        top = self.ring.top(d)[self._std[d]]
+        return np.searchsorted(top, np.arange(self.ring.n), side="right")
+
     def _products(self, d):
         """The degrevlex order of R_d, and the columns M_d (keys, pos) and the
         nonzero relation rows of (R/J)_d; none of either when A_{d-1} = 0."""
@@ -334,14 +386,16 @@ class QuotientBasis:
         keys, pos = np.unique(np.argsort(order)[prod], return_inverse=True)
         pos = pos.reshape(prod.shape)
         # commutation relations x_j*(x_k*b) = x_k*(x_j*b) for b in A_{d-2},
-        # one block of a2 rows per pair j < k
+        # one block per pair j < k, of the b in x_1, ..., x_{k+1} alone (the
+        # largest-variable rule of the module docstring)
         rels = [np.zeros((0, keys.size), dtype=np.int64)]
         if a2:
             mults = [self.mult(k, d - 2).a.T for k in range(n)]
+            keep = self.top_prefix(d - 2)
             for j, k in itertools.combinations(range(n), 2):
-                blk = np.zeros((a2, keys.size), dtype=np.int64)
-                blk[:, pos[:, j]] = mults[k]
-                blk[:, pos[:, k]] -= mults[j]
+                blk = np.zeros((keep[k], keys.size), dtype=np.int64)
+                blk[:, pos[:, j]] = mults[k][:keep[k]]
+                blk[:, pos[:, k]] -= mults[j][:keep[k]]
                 rels.append(blk)
         rels = np.vstack(rels) % p
         return order, keys, pos, PrimeMatrix._trusted(rels[rels.any(axis=1)], p)
@@ -560,6 +614,11 @@ def betti_numbers(ideal):
         first.  Every other mirror d_{i'}(j'), from d_i with
         3 <= i <= n - 2 or d_2 with n = 3, has 2(j' - i') < s - 1, or
         2(j' - i') = s - 1 and 2i' < n + 1, so it does not mirror back.
+
+    What is eliminated is pruned by the largest-variable rule of the module
+    docstring, with the same rank: span_dim's relations drop the rows
+    d_2(b (x) e_jk) with top(b) > k, and _koszul_matrix the columns
+    b (x) e_S with top(b) > max S.
     """
     ring = ideal.ring
     n = ring.n
@@ -574,9 +633,6 @@ def betti_numbers(ideal):
     def strand(i, j):
         """rank d_i(j) of R's Koszul complex, j >= 1."""
         return sum((-1) ** (i - 1 - k) * math.comb(n, k) * ring.dim(j - k) for k in range(i))
-
-    subsets = {i: list(itertools.combinations(range(n), i)) for i in range(n + 1)}
-    sub_index = {i: {S: t for t, S in enumerate(subsets[i])} for i in range(n + 1)}
 
     @functools.cache
     def boundary_rank(i, j):
@@ -603,26 +659,12 @@ def betti_numbers(ideal):
                 return boundary_rank(n - i + 1, n + s - j)
         if i == 2:
             return n * adim[e + 1] - qb.span_dim(j)
-        src = subsets[i]
-        tgt = sub_index[i - 1]
-        rows = adim[e + 1] * len(subsets[i - 1])
-        cols = adim[e] * len(src)
-        # the blocks x_l and -x_l, reduced once; m is written once
-        plus = [qb.mult(l, e).a for l in range(n)]
-        signed = (plus, [-b % ring.p for b in plus])
-        m = np.zeros((rows, cols), dtype=np.int64)
-        for ci, S in enumerate(src):
-            for k, l in enumerate(S):
-                T = S[:k] + S[k + 1:]
-                r0 = tgt[T] * adim[e + 1]
-                c0 = ci * adim[e]
-                m[r0:r0 + adim[e + 1], c0:c0 + adim[e]] = signed[k % 2][l]
-        return rank(PrimeMatrix._trusted(m, ring.p))
+        return rank(_koszul_matrix(qb, i, e))
 
     beta = {}
     for i in range(0, n + 1):
         for j in range(i, s + i + 1):
-            b = adim[j - i] * len(subsets[i]) - boundary_rank(i, j) - boundary_rank(i + 1, j)
+            b = adim[j - i] * math.comb(n, i) - boundary_rank(i, j) - boundary_rank(i + 1, j)
             if b < 0:
                 raise InternalError(
                     "negative Betti number %d at (%d, %d)" % (b, i, j))
@@ -630,6 +672,26 @@ def betti_numbers(ideal):
                 beta[(i, j)] = b
     del boundary_rank  # its cache's closure refers to it: free the model now
     return BettiTable(beta)
+
+
+def _koszul_matrix(qb, i, e):
+    """d_i from A_e (x) L^i to A_{e+1} (x) L^(i-1), 1 <= i <= n, on the
+    columns b (x) e_S that the largest-variable rule keeps (module
+    docstring): for each S in lex order, the first top_prefix(e)[max S] of
+    _std[e].  Its rank is that of d_i."""
+    n, p, rows = qb.ring.n, qb.ring.p, qb.dim(e + 1)
+    tgt = {T: t for t, T in enumerate(itertools.combinations(range(n), i - 1))}
+    src = list(itertools.combinations(range(n), i))
+    widths = qb.top_prefix(e)[[S[-1] for S in src]]
+    # the blocks x_l and -x_l, reduced once; m is written once
+    plus = [qb.mult(l, e).a for l in range(n)]
+    signed = (plus, [-b % p for b in plus])
+    m = np.zeros((rows * len(tgt), int(widths.sum())), dtype=np.int64)
+    for S, w, c0 in zip(src, widths, np.cumsum(widths) - widths):
+        for k, l in enumerate(S):
+            r0 = tgt[S[:k] + S[k + 1:]] * rows
+            m[r0:r0 + rows, c0:c0 + w] = signed[k % 2][l][:, :w]
+    return PrimeMatrix._trusted(m, p)
 
 
 def minimal_generators(ideal):

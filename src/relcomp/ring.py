@@ -66,6 +66,7 @@ class RingCtx:
         self.n = n
         self.p = p
         self._expo = {}
+        self._top = {}
         self._sum_index = {}
         self._strip = {}
 
@@ -83,6 +84,14 @@ class RingCtx:
         if d not in self._expo:
             self._expo[d] = _monomials(self.n, d) if d >= 0 else np.zeros((0, self.n), np.int64)
         return self._expo[d]
+
+    def top(self, d):
+        """top(d)[i]: the largest k - 1 with x_k dividing the monomial
+        exponents(d)[i] (-1 for the monomial 1)."""
+        if d not in self._top:
+            present = np.where(self.exponents(d) > 0, np.arange(self.n), -1)
+            self._top[d] = present.max(axis=1, initial=-1)
+        return self._top[d]
 
     def _position(self, tail, shape, top):
         """Position in the basis of its degree of each exponent vector a with

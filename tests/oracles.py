@@ -23,8 +23,15 @@ annihilator that F has under differentiation, in degrees below p.
 
 NumpyFormStream is the draw that FormStream once made through numpy's
 Generator, np.random.default_rng([seed, n, p]).integers(0, p).
+
+products_unpruned and koszul_matrix_unpruned build the commutation
+relations of QuotientBasis._products and the Koszul matrices of
+betti_numbers on every b of the basis, before the largest-variable rule
+dropped those it proves redundant; link_blocks are the catalecticants of
+every nonzero g o Phi of a link, before dependent forms were dropped.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -34,7 +41,7 @@ from relcomp.betti import BettiTable
 from relcomp.engine import QuotientBasis, hilbert_function
 from relcomp.errors import InternalError, NotArtinianError, ParamError
 from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref, stack
-from relcomp.ring import HomogPoly
+from relcomp.ring import HomogPoly, contraction_map
 
 
 def betti_numbers_syzygy(ideal):
@@ -244,3 +251,57 @@ class NumpyFormStream:
 
     def coefficients(self, count):
         return self._rng.integers(0, self.ring.p, size=count, dtype=np.int64)
+
+
+def products_unpruned(model, d):
+    """model._products(d) with a block of every b in A_{d-2} per pair j < k:
+    the degrevlex order of R_d, the products M_d (keys, pos) and the nonzero
+    relation rows."""
+    ring = model.ring
+    n, p = ring.n, ring.p
+    a2 = model.dim(d - 2) if model.dim(d - 1) else 0
+    prod = ring.sum_index(d - 1, 1)[model._std[d - 1]]
+    order = np.lexsort(ring.exponents(d).T)
+    keys, pos = np.unique(np.argsort(order)[prod], return_inverse=True)
+    pos = pos.reshape(prod.shape)
+    rels = [np.zeros((0, keys.size), dtype=np.int64)]
+    if a2:
+        mults = [model.mult(k, d - 2).a.T for k in range(n)]
+        for j, k in itertools.combinations(range(n), 2):
+            blk = np.zeros((a2, keys.size), dtype=np.int64)
+            blk[:, pos[:, j]] = mults[k]
+            blk[:, pos[:, k]] -= mults[j]
+            rels.append(blk)
+    rels = np.vstack(rels) % p
+    return order, keys, pos, PrimeMatrix._trusted(rels[rels.any(axis=1)], p)
+
+
+def koszul_matrix_unpruned(qb, i, e):
+    """d_i from A_e (x) L^i to A_{e+1} (x) L^(i-1) on every column b (x) e_S,
+    S in lex order and b in _std[e] order within each S."""
+    ring = qb.ring
+    n = ring.n
+    src = list(itertools.combinations(range(n), i))
+    tgt = {T: t for t, T in enumerate(itertools.combinations(range(n), i - 1))}
+    a_e, a_f = qb.dim(e), qb.dim(e + 1)
+    m = np.zeros((a_f * len(tgt), a_e * len(src)), dtype=np.int64)
+    for ci, S in enumerate(src):
+        for k, l in enumerate(S):
+            r0 = tgt[S[:k] + S[k + 1:]] * a_f
+            m[r0:r0 + a_f, ci * a_e:(ci + 1) * a_e] = (-1) ** k * qb.mult(l, e).a
+    return PrimeMatrix(m, ring.p)
+
+
+def link_blocks(c, ideal):
+    """blocks(d) of the link c : I with every nonzero g o Phi, g a generator
+    of I, Phi the dual socle generator of R/c: their catalecticants with the
+    rows cut to the standard monomials of R/c."""
+    ring, qc = c.ring, c.quotient
+    e = hilbert_function(c).top_degree()
+    phi = HomogPoly(ring, e, qc.table(e).a[0])
+    duals = [HomogPoly(ring, e - g.degree, contraction_map(phi, g.degree).matmul(
+        PrimeMatrix._trusted(g.coeffs[:, None], ring.p)).a.ravel())
+        for g in ideal.gens if g.degree <= e]
+    duals = [f for f in duals if not f.is_zero()]
+    return lambda d: [PrimeMatrix._trusted(contraction_map(f, d).a[qc._std[f.degree - d]],
+                                           ring.p) for f in duals if f.degree >= d]

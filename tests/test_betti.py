@@ -2,6 +2,7 @@
 and the repeated-twist classifier.  A free module, one column of a table,
 is a Counter twist -> multiplicity."""
 
+import functools
 import itertools
 import math
 import re
@@ -27,6 +28,8 @@ from relcomp.betti import (
     rc_gor_odd_quadric,
     rc_gor_odd_shape,
 )
+from relcomp.engine import betti_numbers, general_forms
+from relcomp.ring import FormStream, RingCtx
 from relcomp.series import froberg_prediction, rational_series, rc_min_bound
 
 
@@ -491,6 +494,52 @@ def test_aci_guard_is_the_positive_part_of_the_shifted_series():
             count += 1
             assert froberg_prediction(degrees, n) == oracle_aci_hf(d_head, d_last, n)
     assert count == 3313
+
+
+# --- `predict aci` against the engine ---------------------------------------
+
+# the engine's tables of general forms of these degrees in five variables
+# (seed 1, p = 32003), where aci_resolution's mapping cone cancels one pair
+# R(-j) of F_2 and F_3 too many, with j as listed; draws at p in
+# {101, 32003, 65521} and seeds 1-3 all keep that pair (ROADMAP item 1)
+ACI_REFUTATIONS = {
+    (2, 2, 3, 4, 4, 4): (8, shape({2: 2, 3: 1, 4: 3},
+                                  {4: 1, 5: 2, 6: 6, 7: 3, 8: 24},
+                                  {7: 1, 8: 3, 9: 78}, {10: 72}, {11: 21})),
+    (2, 2, 3, 4, 5, 5): (9, shape({2: 2, 3: 1, 4: 1, 5: 2},
+                                  {4: 1, 5: 2, 6: 2, 7: 5, 8: 2, 9: 24},
+                                  {7: 1, 8: 1, 9: 4, 10: 76}, {11: 73}, {12: 22})),
+    (2, 2, 4, 5, 5, 5): (9, shape({2: 2, 4: 1, 5: 3},
+                                  {4: 1, 6: 2, 7: 6, 9: 3, 10: 32},
+                                  {8: 1, 9: 3, 11: 102}, {12: 96}, {13: 29})),
+    (2, 3, 3, 5, 5, 5): (10, shape({2: 1, 3: 2, 5: 3},
+                                   {5: 2, 6: 1, 7: 3, 8: 6, 10: 36},
+                                   {8: 1, 10: 6, 11: 111}, {12: 108}, {13: 33})),
+    (2, 3, 5, 5, 5, 5): (10, shape({2: 1, 3: 1, 5: 4},
+                                   {5: 1, 7: 4, 8: 4, 10: 6, 11: 45},
+                                   {10: 4, 12: 153}, {13: 147}, {14: 45})),
+}
+
+
+@functools.cache
+def aci_engine_table(degrees):
+    return betti_numbers(general_forms(degrees, FormStream(RingCtx(5, 32003), 1)))
+
+
+@pytest.mark.parametrize("degrees", sorted(ACI_REFUTATIONS))
+def test_engine_refutes_predict_aci_by_one_pair(degrees):
+    j, table = ACI_REFUTATIONS[degrees]
+    assert aci_engine_table(degrees) == table
+    predicted = aci_resolution(5, list(degrees))[0]
+    diff = {k: table[k] - predicted[k] for k in set(table.beta) | set(predicted.beta)}
+    assert {k: v for k, v in diff.items() if v} == {(2, j): 1, (3, j): 1}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: aci_resolution cancels a pair "
+                                       "R(-j) of F_2 and F_3 that the engine keeps")
+@pytest.mark.parametrize("degrees", sorted(ACI_REFUTATIONS))
+def test_predict_aci_matches_the_engine(degrees):
+    assert aci_resolution(5, list(degrees))[0] == aci_engine_table(degrees)
 
 
 # --- mapping cones ---------------------------------------------------------

@@ -37,7 +37,7 @@ from relcomp.errors import (
     ParamError,
 )
 from relcomp.gfp import PrimeMatrix, kernel_basis, rank, rref
-from relcomp.ring import FormStream, HomogPoly, RingCtx
+from relcomp.ring import FormStream, HomogPoly, RingCtx, contraction_map
 from relcomp.series import froberg_prediction, linkage_hf
 
 from oracles import (
@@ -45,7 +45,10 @@ from oracles import (
     differentiation_map,
     divided_powers,
     kernel_rows,
+    koszul_matrix_unpruned,
+    link_blocks,
     perp_picks_by_basis,
+    products_unpruned,
     sift_generators,
     socle_dim_by_rank,
 )
@@ -692,9 +695,6 @@ def oracle_betti_numbers(ideal):
     s = hilbert_function(ideal).top_degree()
     adim = [qb.dim(d) for d in range(s + 2)]
 
-    subsets = {i: list(itertools.combinations(range(n), i)) for i in range(n + 1)}
-    sub_index = {i: {S: t for t, S in enumerate(subsets[i])} for i in range(n + 1)}
-
     @functools.cache
     def boundary_rank(i, j):
         if i < 1 or i > n:
@@ -702,28 +702,13 @@ def oracle_betti_numbers(ideal):
         e = j - i
         if e < 0 or e > s or adim[e] == 0:
             return 0
-        src = subsets[i]
-        tgt = sub_index[i - 1]
-        rows = adim[e + 1] * len(subsets[i - 1])
-        cols = adim[e] * len(src)
-        if rows == 0 or cols == 0:
-            return 0
-        plus = [qb.mult(l, e).a for l in range(n)]
-        signed = (plus, [-b % ring.p for b in plus])
-        m = np.zeros((rows, cols), dtype=np.int64)
-        for ci, S in enumerate(src):
-            for k, l in enumerate(S):
-                T = S[:k] + S[k + 1:]
-                r0 = tgt[T] * adim[e + 1]
-                c0 = ci * adim[e]
-                m[r0:r0 + adim[e + 1], c0:c0 + adim[e]] = signed[k % 2][l]
-        return rank(PrimeMatrix(m, ring.p))
+        return rank(koszul_matrix_unpruned(qb, i, e))
 
     beta = {}
     for i in range(0, n + 1):
         for j in range(i, s + i + 1):
             e = j - i
-            cdim = adim[e] * len(subsets[i]) if 0 <= e <= s else 0
+            cdim = adim[e] * math.comb(n, i) if 0 <= e <= s else 0
             if cdim == 0:
                 continue
             b = (cdim - boundary_rank(i, j)) - boundary_rank(i + 1, j)
@@ -979,6 +964,176 @@ def test_span_dim_counts_the_generators(data):
     beta1 = Counter(g.degree for g in ideal.gens)
     assert spans == [model.dim(d) + beta1[d] for d in degrees]
     assert table == oracle_betti_numbers(ideal)
+
+
+# --- the largest-variable rule and dependent dual forms ---------------------
+
+
+def assert_top_prefix(model, d):
+    """The first top_prefix(d)[k] monomials of _std[d] are exactly those in
+    x_1, ..., x_{k+1} alone."""
+    expo = model.ring.exponents(d)[model._std[d]]
+    for k, w in enumerate(model.top_prefix(d)):
+        beyond = expo[:, k + 1:].any(axis=1)
+        assert not beyond[:w].any() and beyond[w:].all(), (d, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_pruned_relations_have_the_rref_of_every_relation(data):
+    # the commutation relations on the b with top(b) <= k against those on
+    # every b, in every degree of sieve models (general forms, the unit
+    # ideal) and read models (annihilators, links): same products, same
+    # rref and same kernel, so _span and span_dim read the same arrays
+    n = data.draw(st.integers(2, 5), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p")
+    ring = RingCtx(n, p)
+    ideal = draw_model_ideal(data, ring, FormStream(ring, data.draw(st.integers(1, 1000),
+                                                                    label="seed")))
+    model = ideal.quotient
+    for d in range(1, hilbert_function(ideal).top_degree() + 3):
+        order, keys, pos, rels = model._products(d)
+        want = products_unpruned(model, d)
+        assert np.array_equal(order, want[0]) and np.array_equal(keys, want[1])
+        assert np.array_equal(pos, want[2])
+        assert rels.rows <= want[3].rows
+        red, pivots = rref(rels)
+        full, full_pivots = rref(want[3])
+        assert pivots == full_pivots, d
+        assert np.array_equal(red.a[:len(pivots)], full.a[:len(pivots)]), d
+        assert kernel_basis(rels) == kernel_basis(want[3]), d
+        if model.dim(d - 2):
+            assert_top_prefix(model, d - 2)
+
+
+def draw_koszul_ideal(data, ring, stream):
+    """A level, Gorenstein, non-level or general-forms quotient."""
+    top = ORACLE_TOP[ring.n]
+    kind = data.draw(st.sampled_from(["level", "gorenstein", "non-level",
+                                      "general forms"]), label="kind")
+    if kind == "general forms":
+        degrees = data.draw(st.lists(st.integers(1, 3 if ring.n < 5 else 2),
+                                     min_size=ring.n, max_size=ring.n + 2), label="degrees")
+        return general_forms(degrees, stream)
+    s = data.draw(st.integers(1, top), label="s")
+    if kind == "gorenstein":
+        return annihilator_ideal([stream.form(s)])
+    if kind == "level":
+        return annihilator_ideal(stream.forms([s] * data.draw(st.integers(2, 3), label="count")))
+    low = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=2), label="low")
+    assume(min(low) < s)
+    return annihilator_ideal(stream.forms([s] + low))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_pruned_koszul_matrices_have_the_full_rank(data):
+    # every d_i(j), the ones betti_numbers reads off a rule included: the
+    # matrix on the columns the largest-variable rule keeps is the full
+    # matrix restricted to them, and it has the full matrix's rank
+    n = data.draw(st.integers(2, 6 if data.draw(st.booleans(), label="n = 6") else 5),
+                  label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p")
+    ring = RingCtx(n, p)
+    ideal = draw_koszul_ideal(data, ring, FormStream(ring, data.draw(st.integers(1, 1000),
+                                                                     label="seed")))
+    hf = hilbert_function(ideal)
+    assume(hf.exact)
+    model = ideal.quotient
+    for e in range(hf.top_degree() + 1):
+        model.dim(e + 1)
+        keep = model.top_prefix(e)
+        assert_top_prefix(model, e)
+        for i in range(1, n + 1):
+            got = engine._koszul_matrix(model, i, e)
+            full = koszul_matrix_unpruned(model, i, e)
+            cols = [c * model.dim(e) + b
+                    for c, S in enumerate(itertools.combinations(range(n), i))
+                    for b in range(keep[S[-1]])]
+            assert got == PrimeMatrix._trusted(full.a[:, cols], p), (i, e)
+            assert rank(got) == rank(full), (i, e)
+
+
+def test_the_rule_drops_rows_and_columns(monkeypatch):
+    # a level quotient in five variables: the relations of the degrees
+    # that have some and the Koszul matrices betti_numbers eliminates both
+    # lose entries
+    ring = RingCtx(5, 32003)
+    ideal = annihilator_ideal(FormStream(ring, 1).forms([4, 4]))
+    model = ideal.quotient
+    # A_d = R_d up to degree 2, so the relations of degrees <= 3 vanish
+    for d in (4, 5):
+        assert model._products(d)[3].rows < products_unpruned(model, d)[3].rows
+    sizes = []
+    true_matrix = engine._koszul_matrix
+
+    def koszul_matrix(qb, i, e):
+        m = true_matrix(qb, i, e)
+        sizes.append((m.a.size, koszul_matrix_unpruned(qb, i, e).a.size))
+        return m
+
+    monkeypatch.setattr(engine, "_koszul_matrix", koszul_matrix)
+    table = betti_numbers(ideal)
+    assert len(sizes) == 2 and all(got < full for got, full in sizes)
+    monkeypatch.undo()
+    assert table == oracle_betti_numbers(ideal)
+
+
+def assert_same_arrays(model, other, degrees):
+    """_std[d] and table(d) of two models agree in the given degrees."""
+    for d in degrees:
+        assert model.table(d) == other.table(d), d
+        assert np.array_equal(model._std[d], other._std[d]), d
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_dependent_forms_leave_the_model_of_the_independent_ones(data):
+    # Ann(F, 2F, F + G, G, H) keeps F, F + G and H, and reads in every
+    # degree the arrays of Ann(F, G, H) and of a model of all five
+    # catalecticants; Ann(F, 2F) is a model of one form
+    n = data.draw(st.integers(1, 5), label="n")
+    p = data.draw(st.sampled_from([2, 3, 32003, 2147483647]), label="p")
+    ring = RingCtx(n, p)
+    stream = FormStream(ring, data.draw(st.integers(1, 1000), label="seed"))
+    top = ORACLE_TOP.get(n, 6)
+    s, t = (data.draw(st.integers(0, top), label=x) for x in "st")
+    f, g, h = stream.forms([s, s, t])
+    five = [f, f.scale(2), f + g, g, h]
+    ideal = annihilator_ideal(five)
+    kept = [x for x in five if not x.is_zero()]
+    oracle = QuotientBasis(ring, blocks=lambda d: [contraction_map(x, d) for x in kept
+                                                   if x.degree >= d])
+    model = ideal.quotient
+    for other in (annihilator_ideal([f, g, h]).quotient, oracle):
+        assert_same_arrays(model, other, range(max(s, t) + 2))
+    one = annihilator_ideal([f, f.scale(2), f.scale(p - 1)]).quotient
+    assert one._form_degree == s
+    assert_same_arrays(one, annihilator_ideal([f]).quotient, range(s + 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_link_of_one_collapsed_form_reads_the_arrays_of_every_form(data):
+    # c : (c, f, -f + m c_1): both f o Phi and (-f + m c_1) o Phi = -f o Phi
+    # are nonzero and dependent, so the link is a model of one form, and it
+    # reads in every degree the arrays of a model of both catalecticants
+    ring, c, linked = draw_link(data)
+    f = linked.gens[ring.n]
+    c1 = c.gens[0]
+    second = f.scale(ring.p - 1)
+    if f.degree >= c1.degree:
+        second = second + ring.monomial((f.degree - c1.degree,) + (0,) * (ring.n - 1)) * c1
+    assume(not second.is_zero())
+    both = GradedIdeal(ring, c.gens + [f, second])
+    ideal = ideal_quotient(c, both)
+    blocks = link_blocks(c, both)
+    e = hilbert_function(c).top_degree()
+    assume(f.degree <= e and len(blocks(0)) == 2)
+    model = ideal.quotient
+    assert model._form_degree == e - f.degree
+    assert_same_arrays(model, QuotientBasis(ring, blocks=blocks),
+                       range(ideal.artinian_bound() + 1))
 
 
 def test_betti_oracle_agreement_fixed_cases():
